@@ -1,11 +1,19 @@
 """Brute-force numerical cross-checks for witnesses and product enumeration.
 
-Independent of the algebraic engine: identifiability is decided by a dense
-grid search over all product states (four Bloch angles, two per qubit) with
-local refinement, and product enumeration by scanning |det| over the
-projective parameterization of a 2-D subspace.  Built to over- rather than
-under-report disagreement: grids are calibrated on certified-positive cases
-and abort when too coarse.
+Independent of the algebraic engine.  Identifiability is decided by a scan of
+the left qubit's Bloch sphere: once the left factor a is fixed, every overlap
+<psi_j|a⊗b> = (a M_j^*)·b is linear in the right factor b, so a product state
+orthogonal to the other members exists over a exactly where their stacked
+constraints have a nonzero null vector (the existence law of Sanpera, Tarrach
+and Vidal, PRA 58, 826 (1998)).  The scan therefore covers the left sphere
+only: at each left grid point the best right factor is scored exactly, as the
+largest eigenvalue of a 2x2 Hermitian score form.  The best left points are
+refined locally and polished by a root find of the constraint determinant,
+and the right factor is then read off the constraints' null space.  Product
+enumeration scans |det| of the coefficient matrix, built point by point,
+over the projective parameterization of a 2-D subspace.
+Built to over- rather than under-report disagreement: grids are calibrated on
+certified-positive cases and abort when too coarse.
 """
 
 from __future__ import annotations
@@ -16,21 +24,27 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .ensembles import OrthogonalSet
-from .errors import BadCardinality, BadDimension, ResolutionTooCoarse
+from .errors import BadCardinality, BadDimension, BadGrid, ResolutionTooCoarse
 from .products import Subspace
 from .states import PureState, make_state
 
 PENALTY = 1e3
 # Seeding uses a much gentler penalty: at coarse-cell distance from a true
-# witness the orthogonality leak is O(cell), and the full penalty would bury
-# the basin below witness-free zeros of the constraint determinant.
+# witness the squared orthogonality leak is O(cell^2), and the full penalty
+# would bury the basin below witness-free zeros of the constraint determinant.
 SEED_PENALTY = 10.0
 _TOP_K = 5
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and refinement schedule of the angle grids."""
+    """Resolution and refinement schedule of the angle grids.
+
+    The identifiability oracle scans resolution**2 left-qubit Bloch angles per
+    verdict (resolution polar by resolution azimuthal) and solves for the
+    right factor exactly at each; the product scan uses the same resolution
+    on each of its two angles.
+    """
 
     resolution: int = 64
     rounds: int = 3
@@ -38,9 +52,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.resolution < 8:
-            raise ValueError(f"resolution must be >= 8, got {self.resolution}")
+            raise BadGrid(f"resolution must be >= 8, got {self.resolution}")
         if self.rounds < 1:
-            raise ValueError("at least one refinement round is required")
+            raise BadGrid("at least one refinement round is required")
 
 
 @dataclass(frozen=True)
@@ -66,104 +80,106 @@ def _bloch(theta, phi):
     )
 
 
-def _angle_grids(resolution):
-    theta = np.linspace(0.0, np.pi, resolution)
-    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    return theta, phi
+def _best_right_score(lefts, conj_mats, i, others):
+    """max over unit b of |h_i.b|^2 - P * sum_j |h_j.b|^2, per left factor.
 
-
-def _pair_grid(theta, phi):
-    """All (theta, phi) combinations flattened; returns angles and states."""
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    t = tt.ravel()
-    p = pp.ravel()
-    return t, p, _bloch(t, p)
-
-
-def _score_grid(left_overlaps, i, others, penalty=SEED_PENALTY):
-    """Witness score: target overlap minus penalized leak to the others."""
-    score = np.abs(left_overlaps[i])
-    for j in others:
-        score = score - penalty * np.abs(left_overlaps[j])
-    return score
+    With h_j = a M_j^* the score is the Hermitian form b^H Q b,
+    Q = conj(h_i) h_i^T - P * sum_j conj(h_j) h_j^T with P = SEED_PENALTY,
+    whose maximum over unit b is its largest eigenvalue, taken here in closed
+    form for the whole (N, 2) stack of left factors at once.
+    """
+    q00 = np.zeros(lefts.shape[0])
+    q11 = np.zeros(lefts.shape[0])
+    q01 = np.zeros(lefts.shape[0], dtype=complex)
+    for j in (i, *others):
+        w = 1.0 if j == i else -SEED_PENALTY
+        h = lefts @ conj_mats[j]
+        q00 += w * np.abs(h[:, 0]) ** 2
+        q11 += w * np.abs(h[:, 1]) ** 2
+        q01 += w * h[:, 0].conj() * h[:, 1]
+    half_gap = (q00 - q11) / 2.0
+    return (q00 + q11) / 2.0 + np.sqrt(half_gap**2 + np.abs(q01) ** 2)
 
 
 def _coarse_candidates(conj_mats, i, others, grid):
-    """Top scoring, mutually separated angle quadruples from the dense scan."""
-    theta, phi = _angle_grids(grid.resolution)
-    ta, pa, lefts = _pair_grid(theta, phi)
-    tb, pb, rights = _pair_grid(theta, phi)
-    n_left = lefts.shape[0]
-    n_right = rights.shape[0]
-    half = [lefts @ m for m in conj_mats]  # per state: (n_left, 2)
-    scores = np.empty((n_left, n_right), dtype=np.float32)
-    block = 1024
-    for lo in range(0, n_right, block):
-        hi = min(lo + block, n_right)
-        chunk = rights[lo:hi].T  # (2, b)
-        overlaps = [h @ chunk for h in half]
-        scores[:, lo:hi] = _score_grid(overlaps, i, others)
+    """Top scoring, mutually separated left-qubit angle pairs on the sphere."""
+    theta = np.linspace(0.0, np.pi, grid.resolution)
+    phi = np.linspace(0.0, 2.0 * np.pi, grid.resolution, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    t = tt.ravel()
+    p = pp.ravel()
+    scores = _best_right_score(_bloch(t, p), conj_mats, i, others)
 
-    flat = scores.ravel()
-    pool = 40 * _TOP_K
-    part = np.argpartition(-flat, pool)[:pool]
-    order = part[np.argsort(-flat[part], kind="stable")]
+    # separation is measured between Bloch vectors, so the duplicated poles
+    # and the azimuthal wrap-around do not count as distinct candidates
+    bloch_vectors = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    min_cos = np.cos(4.0 * np.pi / grid.resolution)
     picked = []
-    min_sep = 4.0 * np.pi / grid.resolution
-    for idx in order:
-        li, ri = divmod(int(idx), n_right)
-        cand = np.array([ta[li], pa[li], tb[ri], pb[ri]])
-        if all(np.max(np.abs(cand - c)) > min_sep for c in picked):
-            picked.append(cand)
-        if len(picked) == _TOP_K:
-            break
-    return picked
+    for k in np.argsort(-scores, kind="stable"):
+        if all(bloch_vectors[k] @ bloch_vectors[m] < min_cos for m in picked):
+            picked.append(k)
+            if len(picked) == _TOP_K:
+                break
+    return [np.array([t[k], p[k]]) for k in picked]
 
 
 def _refine(conj_mats, i, others, angles, grid):
-    """Local grid refinement around one candidate, shrinking 4x per round."""
-    theta, _ = _angle_grids(grid.resolution)
-    width = 2.0 * (theta[1] - theta[0])
+    """Local grid refinement around one left angle pair, shrinking 4x per round."""
+    width = 2.0 * np.pi / (grid.resolution - 1)  # two polar steps of the coarse grid
     best = np.asarray(angles, dtype=float)
     sub = 9
     for _ in range(grid.rounds):
         axes = [np.linspace(a - width, a + width, sub) for a in best]
-        ga, gb, gc, gd = np.meshgrid(*axes, indexing="ij")
-        lefts = _bloch(ga.ravel(), gb.ravel())
-        rights = _bloch(gc.ravel(), gd.ravel())
-        overlaps = [
-            np.einsum("nr,rc,nc->n", lefts, m, rights) for m in conj_mats
-        ]
-        score = _score_grid(overlaps, i, others)
+        gt, gp = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        score = _best_right_score(_bloch(gt, gp), conj_mats, i, others)
         k = int(np.argmax(score))
-        best = np.array([ga.ravel()[k], gb.ravel()[k], gc.ravel()[k], gd.ravel()[k]])
+        best = np.array([gt[k], gp[k]])
         width /= 4.0
     return best
 
 
-def _polish(conj_mats, i, others, angles):
+def _polish(conj_mats, i, others, angles, grid):
     """Drive the orthogonality residual to machine precision.
 
     For a fixed left factor a the two orthogonality constraints on the right
     factor are linear, so a nonzero solution exists exactly where the 2x2
     determinant of the stacked constraints vanishes; that determinant is
-    root-found over the left-qubit angles and the right factor recovered as
-    the null vector.
+    root-found over the left-qubit angles.  The right factor is the unit
+    vector of the constraints' numerical null space (singular values below
+    the grid threshold, at least one direction) with the largest target
+    overlap: where the stack vanishes it is the normalized conj(a M_i^*).
     """
     mj, mk = conj_mats[others[0]], conj_mats[others[1]]
 
+    def det_and_grad(x):
+        # rows of p and q: the two constraints at a, then their derivatives
+        # in theta and phi (the determinant is bilinear in its two rows)
+        c, s, e = np.cos(x[0] / 2.0), np.sin(x[0] / 2.0), np.exp(1j * x[1])
+        rows = np.array([[c, e * s], [-s / 2.0, e * c / 2.0], [0.0, 1j * e * s]])
+        p, q = rows @ mj, rows @ mk
+        det = p[0, 0] * q[0, 1] - p[0, 1] * q[0, 0]
+        grad = p[1:, 0] * q[0, 1] - p[1:, 1] * q[0, 0] + p[0, 0] * q[1:, 1] - p[0, 1] * q[1:, 0]
+        return det, grad
+
     def residual_fn(x):
-        a = _bloch(x[0], x[1])
-        d = np.linalg.det(np.stack([a @ mj, a @ mk]))
+        d, _ = det_and_grad(x)
         return [d.real, d.imag]
 
-    sol = least_squares(residual_fn, x0=angles[:2], method="lm", xtol=1e-15, ftol=1e-15)
+    def jac_fn(x):
+        _, g = det_and_grad(x)
+        return [g.real, g.imag]
+
+    sol = least_squares(
+        residual_fn, x0=angles, jac=jac_fn, method="lm", xtol=1e-15, ftol=1e-15
+    )
     a = _bloch(sol.x[0], sol.x[1])
-    stacked = np.stack([a @ mj, a @ mk])
-    _, _, vh = np.linalg.svd(stacked)
-    b = vh[-1].conj()
-    witness = make_state(np.outer(a, b).reshape(4))
-    return witness
+    _, sing, vh = np.linalg.svd(np.stack([a @ mj, a @ mk]))
+    dim = max(1, int(np.sum(sing < grid.threshold)))
+    null = vh[-dim:].conj().T  # columns span the null space
+    target = (a @ conj_mats[i]) @ null
+    norm = np.linalg.norm(target)
+    coeffs = target.conj() / norm if norm > 0.0 else np.eye(dim)[-1]
+    return make_state(np.outer(a, null @ coeffs).reshape(4))
 
 
 def _chefles_check(ensemble, i, witness, grid):
@@ -180,7 +196,7 @@ def _search(ensemble, i, grid):
     best = OracleVerdict(False, None, np.inf, 0.0)
     for cand in _coarse_candidates(conj_mats, i, others, grid):
         refined = _refine(conj_mats, i, others, cand, grid)
-        witness = _polish(conj_mats, i, others, refined)
+        witness = _polish(conj_mats, i, others, refined, grid)
         ok, leak, overlap = _chefles_check(ensemble, i, witness, grid)
         if ok:
             return OracleVerdict(True, witness, leak, overlap)
@@ -228,15 +244,16 @@ def oracle_identifiable(
 
 
 def _det_on_circle(sub: Subspace, t, phi):
-    """det of cos(t) u + e^{i phi} sin(t) v over angle arrays (complex)."""
+    """det of cos(t) u + e^{i phi} sin(t) v over angle arrays (complex).
+
+    Each point's 2x2 coefficient matrix is built and its determinant taken
+    directly, as one batched (..., 2, 2) stack.
+    """
     u, v = sub.basis
-    mu, mv = u.matrix, v.matrix
-    du = np.linalg.det(mu)
-    dv = np.linalg.det(mv)
-    cross = np.linalg.det(mu + mv) - du - dv
-    a = np.cos(t)
-    b = np.exp(1j * phi) * np.sin(t)
-    return a * a * du + a * b * cross + b * b * dv
+    t = np.asarray(t)[..., None, None]
+    phi = np.asarray(phi)[..., None, None]
+    mats = np.cos(t) * u.matrix + np.exp(1j * phi) * np.sin(t) * v.matrix
+    return np.linalg.det(mats)
 
 
 def _projective_angle(w1, w2):

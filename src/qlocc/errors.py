@@ -51,3 +51,7 @@ class BadBounds(QloccError):
 
 class ResolutionTooCoarse(QloccError):
     """The grid oracle failed its calibration on a certified-positive case."""
+
+
+class BadGrid(QloccError, ValueError):
+    """A grid specification has too few angle points or refinement rounds."""

@@ -3,14 +3,16 @@ import pytest
 
 from qlocc import (
     GridSpec,
+    OrthogonalSet,
     Subspace,
+    conclusively_identifiable,
     concurrence,
     make_state,
     oracle_identifiable,
     oracle_product_scan,
     random_orthogonal_set,
 )
-from qlocc.errors import BadCardinality
+from qlocc.errors import BadCardinality, BadGrid, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
 GRID = GridSpec(resolution=32)
@@ -24,6 +26,12 @@ class TestGridSpec:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             GridSpec(resolution=4)
+
+    def test_errors_are_qlocc_errors(self):
+        with pytest.raises(BadGrid):
+            GridSpec(resolution=4)
+        with pytest.raises(QloccError):
+            GridSpec(rounds=0)
 
 
 class TestOracleIdentifiable:
@@ -65,13 +73,44 @@ class TestOracleIdentifiable:
             oracle_identifiable(bell_basis, 0, GRID)
 
     def test_agreement_sample(self):
-        from qlocc import conclusively_identifiable
-
         for k in range(25):
             ens = random_orthogonal_set(90_000 + k, size=3)
             for i in range(3):
                 analytic, _ = conclusively_identifiable(ens, i)
                 assert oracle_identifiable(ens, i, GRID).identifiable == analytic
+
+    def test_all_product_complement_triple(self):
+        # the complement of |10>, |11> is |0> x C^2: at a = |0> the constraints
+        # on the right factor vanish, and the witness must be chosen in that
+        # whole null space for its overlap with |00>
+        ens = _basis_triple()
+        for i in range(3):
+            analytic, _ = conclusively_identifiable(ens, i)
+            assert oracle_identifiable(ens, i, GRID).identifiable == analytic
+        verdict = oracle_identifiable(ens, 0, GRID)
+        assert verdict.overlap == pytest.approx(1.0, abs=1e-9)
+
+    def test_local_unitary_invariance(self):
+        rng = np.random.default_rng(2718)
+        sets = [generate_eq1(GeneratorParams(0.3, 0.4)), generate_eq2(0.2), _basis_triple()]
+        sets += [random_orthogonal_set(60_000 + k, size=3) for k in range(5)]
+        for ens in sets:
+            analytic = [conclusively_identifiable(ens, i)[0] for i in range(3)]
+            for _ in range(4):
+                local = np.kron(_haar_unitary(rng), _haar_unitary(rng))
+                rotated = OrthogonalSet(tuple(make_state(local @ s.amps) for s in ens.states))
+                for i in range(3):
+                    assert conclusively_identifiable(rotated, i)[0] == analytic[i]
+                    assert oracle_identifiable(rotated, i, GRID).identifiable == analytic[i]
+
+
+def _basis_triple():
+    return OrthogonalSet(tuple(make_state(a) for a in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])))
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestOracleProductScan:
