@@ -39,43 +39,3 @@ from .ueb import (
     ueb_check,
     ueb_spanning_check,
 )
-
-__all__ = [
-    "GridSpec",
-    "OracleVerdict",
-    "oracle_identifiable",
-    "oracle_product_scan",
-    "HierarchyLabel",
-    "IdentifiabilityReport",
-    "NonlocalityClass",
-    "classify",
-    "conclusively_identifiable",
-    "identifiability_report",
-    "perfectly_distinguishable",
-    "OrthogonalSet",
-    "Tolerances",
-    "average_entanglement",
-    "random_orthogonal_set",
-    "QloccError",
-    "EnumerationKind",
-    "ProductStateEnumeration",
-    "Subspace",
-    "orthocomplement",
-    "product_states_in_2d",
-    "quadratic_roots",
-    "EntanglementProfile",
-    "PureState",
-    "concurrence",
-    "entanglement_profile",
-    "is_product",
-    "make_state",
-    "product_state",
-    "states_equal_up_to_phase",
-    "GeneratorParams",
-    "UebVerdict",
-    "generate_eq1",
-    "generate_eq2",
-    "random_max_entangled_triple",
-    "ueb_check",
-    "ueb_spanning_check",
-]

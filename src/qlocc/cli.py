@@ -13,10 +13,10 @@ import click
 import numpy as np
 
 from .discrimination import HierarchyLabel, classify
-from .ensembles import Tolerances, average_entanglement
+from .ensembles import OrthogonalSet, Tolerances, average_entanglement
 from .errors import BadBounds, BadParam, QloccError
 from .io import DocumentError, amplitude_pairs, emit_document, parse_document, sweep_csv
-from .states import entanglement_profile
+from .states import entanglement_profile, make_state
 from .ueb import (
     GeneratorParams,
     MaximalEntanglementWarning,
@@ -25,9 +25,7 @@ from .ueb import (
     random_max_entangled_triple,
     ueb_check,
 )
-from .verify import SUITES
-
-DEFAULT_SEED = 20240901
+from .verify import DEFAULT_SEED, SUITES
 
 
 @click.group()
@@ -248,16 +246,13 @@ def cmd_generate(family, lam1, lam3, seed, out):
             ens = generate_eq2(lam1)
             labels = ["Psi1", "Psi2", "Psi3"]
         elif family == "bell-triple":
-            from .states import make_state
-
-            ens_states = (
-                make_state([1, 0, 0, 1]),
-                make_state([1, 0, 0, -1]),
-                make_state([0, 1, 1, 0]),
+            ens = OrthogonalSet(
+                (
+                    make_state([1, 0, 0, 1]),
+                    make_state([1, 0, 0, -1]),
+                    make_state([0, 1, 1, 0]),
+                )
             )
-            from .ensembles import OrthogonalSet
-
-            ens = OrthogonalSet(ens_states)
             labels = ["phi+", "phi-", "psi+"]
         else:
             ens = random_max_entangled_triple(seed)

@@ -2,8 +2,11 @@
 
 A state of an orthogonal ensemble is conclusively identifiable under LOCC
 exactly when some product state has nonzero overlap with it and zero overlap
-with every other member (a product witness).  All witness searches reduce to
-product-state enumeration in the orthocomplement of the other members.
+with every other member (a product witness; Chefles, PRA 69, 050307(R)
+(2004)).  All witness searches reduce to product-state enumeration in the
+orthocomplement of the other members.  A triple needs only one complement:
+with d its 1-D orthocomplement, the states orthogonal to the other two
+members are exactly span{psi_i, d}, and d being product is the UEB-span bit.
 """
 
 from __future__ import annotations
@@ -66,15 +69,15 @@ class NonlocalityClass:
         return self.label.name.title().replace("_", "")
 
 
-def _witness_candidates(complement: Subspace, target: PureState):
-    """Product states in a 2-D complement, as witness candidates for target.
+def _witness_candidates(plane: Subspace, target: PureState, eps_zero: float):
+    """Product states in a 2-D witness plane, as witness candidates for target.
 
-    For an all-product complement the family representatives are augmented
-    with the overlap-maximizing member: with the left factor f fixed, the
-    best right factor is the conjugate of f^H M, M the target's coefficient
-    matrix (and symmetrically for a fixed right factor).
+    For an all-product plane the family representatives are augmented with
+    the overlap-maximizing member: with the left factor f fixed, the best
+    right factor is the conjugate of f^H M, M the target's coefficient matrix
+    (and symmetrically for a fixed right factor).
     """
-    enum = product_states_in_2d(complement)
+    enum = product_states_in_2d(plane, eps_zero)
     candidates = list(enum.states)
     if enum.kind is EnumerationKind.ALL_PRODUCT:
         m = target.matrix
@@ -93,6 +96,60 @@ def _witness_candidates(complement: Subspace, target: PureState):
     return candidates
 
 
+def _triple_complement(ensemble: OrthogonalSet) -> PureState | None:
+    """The 1-D orthocomplement d of a triple; None for 2 or 4 members."""
+    return orthocomplement(ensemble).basis[0] if len(ensemble) == 3 else None
+
+
+def _member_verdict(ensemble: OrthogonalSet, i: int, d: PureState | None):
+    """conclusively_identifiable for member i, given _triple_complement's d.
+
+    For a triple, {psi_0, psi_1, psi_2, d} is an orthonormal basis, so the
+    states orthogonal to the other two members are exactly the plane
+    span{psi_i, d}.  A witness a*psi_i + b*d leaks onto another member psi_j
+    by at most |<psi_j|psi_i>|, which OrthogonalSet bounds by the set's
+    eps_orth.
+    """
+    tol = ensemble.tolerances
+    target = ensemble[i]
+    if d is None:
+        if len(ensemble) == 2:
+            return True, None
+        prod, _ = is_product(target, tol.eps_zero)
+        return (True, target) if prod else (False, None)
+
+    best = None
+    best_overlap = 0.0
+    for cand in _witness_candidates(Subspace((target, d)), target, tol.eps_zero):
+        ov = abs(cand.overlap(target))
+        if ov > tol.tau_overlap and ov > best_overlap:
+            best, best_overlap = cand, ov
+    return best is not None, best
+
+
+def _report(ensemble: OrthogonalSet, d: PureState | None) -> IdentifiabilityReport:
+    tol = ensemble.tolerances
+    verdicts = []
+    for i in range(len(ensemble)):
+        ok, witness = _member_verdict(ensemble, i, d)
+        ov = abs(witness.overlap(ensemble[i])) if witness is not None else 0.0
+        verdicts.append(
+            StateVerdict(
+                index=i,
+                identifiable=ok,
+                witness=witness,
+                witness_overlap=ov,
+                near_threshold=witness is not None
+                and ov <= WARN_BAND_FACTOR * tol.tau_overlap,
+            )
+        )
+    return IdentifiabilityReport(
+        per_state=tuple(verdicts),
+        conclusively_distinguishable=all(v.identifiable for v in verdicts),
+        perfectly_distinguishable=perfectly_distinguishable(ensemble),
+    )
+
+
 def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     """Whether member i admits a product witness, and the best such witness.
 
@@ -103,30 +160,7 @@ def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     n = len(ensemble)
     if not 0 <= i < n:
         raise IndexOutOfRange(f"index {i} outside ensemble of size {n}")
-    tol = ensemble.tolerances
-
-    if n == 2:
-        return True, None
-
-    if n == 4:
-        prod, _ = is_product(ensemble[i], tol.eps_zero)
-        return (True, ensemble[i]) if prod else (False, None)
-
-    others = OrthogonalSet(
-        tuple(s for j, s in enumerate(ensemble.states) if j != i),
-        tolerances=tol,
-    )
-    complement = orthocomplement(others)
-    target = ensemble[i]
-    best = None
-    best_overlap = 0.0
-    for cand in _witness_candidates(complement, target):
-        ov = abs(cand.overlap(target))
-        if ov > tol.tau_overlap and ov > best_overlap:
-            best, best_overlap = cand, ov
-    if best is None:
-        return False, None
-    return True, best
+    return _member_verdict(ensemble, i, _triple_complement(ensemble))
 
 
 def perfectly_distinguishable(ensemble: OrthogonalSet) -> bool:
@@ -146,26 +180,7 @@ def perfectly_distinguishable(ensemble: OrthogonalSet) -> bool:
 
 def identifiability_report(ensemble: OrthogonalSet) -> IdentifiabilityReport:
     """Per-member conclusive-identifiability verdicts with witnesses."""
-    tol = ensemble.tolerances
-    verdicts = []
-    for i in range(len(ensemble)):
-        ok, witness = conclusively_identifiable(ensemble, i)
-        ov = abs(witness.overlap(ensemble[i])) if witness is not None else 0.0
-        verdicts.append(
-            StateVerdict(
-                index=i,
-                identifiable=ok,
-                witness=witness,
-                witness_overlap=ov,
-                near_threshold=witness is not None
-                and ov <= WARN_BAND_FACTOR * tol.tau_overlap,
-            )
-        )
-    return IdentifiabilityReport(
-        per_state=tuple(verdicts),
-        conclusively_distinguishable=all(v.identifiable for v in verdicts),
-        perfectly_distinguishable=perfectly_distinguishable(ensemble),
-    )
+    return _report(ensemble, _triple_complement(ensemble))
 
 
 def classify(ensemble: OrthogonalSet):
@@ -173,20 +188,15 @@ def classify(ensemble: OrthogonalSet):
 
     Returns (NonlocalityClass, IdentifiabilityReport).  Raises
     InternalContradiction if a cardinality-3 ensemble comes back with all
-    three members unidentifiable, which theory rules out.
+    three members unidentifiable, which theory rules out.  A triple's
+    ueb_span is whether its complement is product, i.e. whether some UEB
+    spans the same subspace.
     """
-    from .ueb import ueb_spanning_check  # deferred: ueb imports this module
-
-    n = len(ensemble)
-    report = identifiability_report(ensemble)
+    d = _triple_complement(ensemble)
+    report = _report(ensemble, d)
     ec = ensemble.entangled_count()
-    if n == 2:
-        # two orthogonal states are always perfectly distinguishable
-        return NonlocalityClass(HierarchyLabel.PERFECT_LOCC, entangled_count=ec), report
-
-    if n == 4:
-        cls = NonlocalityClass(HierarchyLabel.COMPLETE_BASIS, entangled_count=ec)
-        return cls, report
+    if len(ensemble) == 4:
+        return NonlocalityClass(HierarchyLabel.COMPLETE_BASIS, entangled_count=ec), report
 
     bad = sum(1 for v in report.per_state if not v.identifiable)
     if bad == 3:
@@ -202,6 +212,5 @@ def classify(ensemble: OrthogonalSet):
         label = HierarchyLabel.ONE_UNIDENTIFIABLE
     else:
         label = HierarchyLabel.TWO_UNIDENTIFIABLE
-    span_verdict = ueb_spanning_check(ensemble)
-    cls = NonlocalityClass(label, entangled_count=ec, ueb_span=span_verdict.spans_ueb)
-    return cls, report
+    ueb_span = None if d is None else is_product(d, ensemble.tolerances.eps_zero)[0]
+    return NonlocalityClass(label, entangled_count=ec, ueb_span=ueb_span), report

@@ -79,10 +79,12 @@ def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS
 
     Returns (kind, roots) where roots is a list of ((a, b), multiplicity)
     with the representative scaled so max(|a|, |b|) = 1.  kind is
-    IDENTICALLY_ZERO when every coefficient is negligible.
+    IDENTICALLY_ZERO when every coefficient is negligible in concurrence
+    units (2|c| < eps_zero), the threshold is_product applies to 2|det M|,
+    so both basis states of an identically-zero determinant plane factor.
     """
     scale = max(abs(c2), abs(c1), abs(c0))
-    if scale < eps_zero:
+    if 2.0 * scale < eps_zero:
         return ProjectiveRoots.IDENTICALLY_ZERO, []
 
     def norm_root(a, b):
@@ -123,10 +125,10 @@ def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
     return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))
 
 
-def _all_product_description(u: PureState, v: PureState):
+def _all_product_description(u: PureState, v: PureState, eps_zero: float):
     """Fixed factor side and value for a 2-D subspace of product states."""
-    _, fu = is_product(u)
-    _, fv = is_product(v)
+    _, fu = is_product(u, eps_zero)
+    _, fv = is_product(v, eps_zero)
     lu, ru = fu
     lv, rv = fv
     if abs(np.vdot(lu, lv)) > 1.0 - 1e-7:
@@ -150,7 +152,7 @@ def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductSt
     kind, roots = quadratic_roots(det_u, cross, det_v, eps_zero)
 
     if kind is ProjectiveRoots.IDENTICALLY_ZERO:
-        side, factor = _all_product_description(u, v)
+        side, factor = _all_product_description(u, v, eps_zero)
         reps = (
             u,
             v,

@@ -140,14 +140,19 @@ def random_max_entangled_triple(seed: int) -> OrthogonalSet:
     return OrthogonalSet(states)
 
 
-def ueb_check(ensemble: OrthogonalSet) -> UebVerdict:
-    """Verify the UEB conditions: all members entangled, complement product."""
+def _triple_complement(ensemble: OrthogonalSet) -> PureState:
+    """The 1-D orthocomplement of a cardinality-3 set."""
     if len(ensemble) != 3:
         raise BadCardinality(
             f"two-qubit UEBs have cardinality exactly 3, got {len(ensemble)}"
         )
+    return orthocomplement(ensemble).basis[0]
+
+
+def ueb_check(ensemble: OrthogonalSet) -> UebVerdict:
+    """Verify the UEB conditions: all members entangled, complement product."""
     eps = ensemble.tolerances.eps_zero
-    comp = orthocomplement(ensemble).basis[0]
+    comp = _triple_complement(ensemble)
     comp_c = concurrence(comp)
     if any(concurrence(s) < eps for s in ensemble.states):
         return UebVerdict(False, comp, comp_c, reason="NotAllEntangled")
@@ -169,11 +174,7 @@ def ueb_spanning_check(ensemble: OrthogonalSet) -> SpanningVerdict:
     case a witness UEB is constructed by rotating the canonical entangled
     family so its complement |11> lands on the actual complement's factors.
     """
-    if len(ensemble) != 3:
-        raise BadCardinality(
-            f"spanning check needs cardinality 3, got {len(ensemble)}"
-        )
-    comp = orthocomplement(ensemble).basis[0]
+    comp = _triple_complement(ensemble)
     prod, factors = is_product(comp, ensemble.tolerances.eps_zero)
     if not prod:
         return SpanningVerdict(False, comp, None)

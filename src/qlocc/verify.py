@@ -12,12 +12,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bruteforce import GridSpec, oracle_identifiable
-from .discrimination import HierarchyLabel, classify
+from .discrimination import HierarchyLabel, classify, conclusively_identifiable
 from .ensembles import OrthogonalSet, average_entanglement, random_orthogonal_set
 from .errors import InternalContradiction
 from .products import Subspace, orthocomplement, product_states_in_2d
 from .states import concurrence, make_state
-from .ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
+from .ueb import (
+    GeneratorParams,
+    generate_eq1,
+    generate_eq2,
+    random_max_entangled_triple,
+    ueb_check,
+)
 
 DEFAULT_SEED = 20240901
 
@@ -79,8 +85,6 @@ def suite_prop1(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
 
 def suite_prop2(grid: np.ndarray | None = None) -> SuiteResult:
     """The all-entangled family: one unidentifiable member, and a UEB."""
-    from .ueb import ueb_check
-
     values = grid if grid is not None else np.linspace(0.05, 0.95, 19)
     points = [(l1, l3) for l1 in values for l3 in values]
     res = SuiteResult("prop2-entangled-family-grid", len(points), 0)
@@ -196,8 +200,6 @@ def suite_oracle_agreement(
     include_family_grids: bool = True,
 ) -> SuiteResult:
     """Analytic and grid-search identifiability verdicts must coincide."""
-    from .discrimination import conclusively_identifiable
-
     grid = grid or GridSpec(resolution=32)
     cases: list[tuple[str, OrthogonalSet]] = [
         (f"random-{k}", random_orthogonal_set(seed + k, size=3)) for k in range(count)

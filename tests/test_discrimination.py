@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qlocc import (
     HierarchyLabel,
     OrthogonalSet,
+    Subspace,
+    Tolerances,
     classify,
+    concurrence,
     conclusively_identifiable,
     identifiability_report,
     make_state,
+    orthocomplement,
     perfectly_distinguishable,
     random_orthogonal_set,
     states_equal_up_to_phase,
@@ -188,3 +194,92 @@ class TestClassify:
                 assert not report.per_state[0].identifiable
             cls, report = classify(generate_eq2(float(l1)))
             assert cls.label is HierarchyLabel.TWO_UNIDENTIFIABLE
+
+
+class TestToleranceEdges:
+    @pytest.mark.parametrize("x", [7e-10, 9e-10])
+    def test_near_product_triple_classifies(self, x):
+        # member 0's witness plane has a determinant quadratic of scale x,
+        # between eps_zero/2 and eps_zero; this used to raise TypeError
+        ens = OrthogonalSet(
+            (make_state([1, 0, 0, x]), make_state([0, 0, 1, 0]), make_state([x, 0, 0, -1]))
+        )
+        cls, report = classify(ens)
+        assert ens.entangled_count() == 2
+        assert cls.label is HierarchyLabel.TWO_UNIDENTIFIABLE
+        assert [v.identifiable for v in report.per_state] == [False, True, False]
+
+    def test_set_eps_zero_reaches_witness_search(self):
+        # at eps_zero = 1e-6 every member is product, so perfect implies
+        # conclusive; with the default eps_zero in the witness search two
+        # members came back unidentifiable
+        ens = OrthogonalSet(
+            (make_state([1, 0, 0, 1e-7]), make_state([0, 0, 1, 0]), make_state([1e-7, 0, 0, -1])),
+            tolerances=Tolerances(eps_zero=1e-6),
+        )
+        cls, report = classify(ens)
+        assert cls.label is HierarchyLabel.PERFECT_LOCC
+        assert report.perfectly_distinguishable and report.conclusively_distinguishable
+        for v in report.per_state:
+            assert concurrence(v.witness) < 1e-6
+            for j, s in enumerate(ens.states):
+                ov = abs(v.witness.overlap(s))
+                assert ov > 1e-7 if j == v.index else ov < 1e-9
+
+
+def _haar_family_bell_triples(bell_triple, haar=20):
+    triples = [random_orthogonal_set(90_000 + k, size=3) for k in range(haar)]
+    triples += [generate_eq1(GeneratorParams(l1, l3)) for l1, l3 in [(0.3, 0.4), (0.75, 0.15)]]
+    triples += [generate_eq2(l1) for l1 in (0.2, 0.65)]
+    return triples + [bell_triple]
+
+
+class TestOneComplementPerTriple:
+    def test_classify_computes_one_complement(self, monkeypatch):
+        import qlocc.discrimination as disc
+        import qlocc.ueb as ueb
+
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return orthocomplement(source)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify must not build a witness UEB")
+
+        monkeypatch.setattr(disc, "orthocomplement", counting)
+        monkeypatch.setattr(ueb, "ueb_spanning_check", forbidden)
+        monkeypatch.setattr(ueb, "generate_eq1", forbidden)
+        for ens in (random_orthogonal_set(5, size=3), generate_eq2(0.2)):
+            calls.clear()
+            cls, _ = classify(ens)
+            assert len(calls) == 1
+            assert cls.ueb_span is not None
+
+    def test_witness_plane_is_complement_of_others(self, bell_triple):
+        # reference: the complement of the other two members, one SVD each
+        cases = _haar_family_bell_triples(bell_triple, haar=200)
+        cases += [random_max_entangled_triple(91_000 + k) for k in range(20)]
+        for ens in cases:
+            d = orthocomplement(ens).basis[0]
+            for i in range(3):
+                others = OrthogonalSet(tuple(s for j, s in enumerate(ens.states) if j != i))
+                ref = orthocomplement(others).matrix()
+                plane = Subspace((ens[i], d)).matrix()
+                np.testing.assert_allclose(
+                    plane @ plane.conj().T, ref @ ref.conj().T, atol=1e-9
+                )
+
+    def test_member_order_invariance(self, bell_triple):
+        for ens in _haar_family_bell_triples(bell_triple):
+            cls, report = classify(ens)
+            verdicts = [v.identifiable for v in report.per_state]
+            for perm in itertools.permutations(range(3)):
+                shuffled = OrthogonalSet(tuple(ens.states[p] for p in perm))
+                cls_p, report_p = classify(shuffled)
+                assert cls_p.label is cls.label
+                assert cls_p.ueb_span == cls.ueb_span
+                assert [v.identifiable for v in report_p.per_state] == [
+                    verdicts[p] for p in perm
+                ]

@@ -6,6 +6,7 @@ from qlocc import (
     OrthogonalSet,
     Subspace,
     concurrence,
+    is_product,
     make_state,
     orthocomplement,
     product_state,
@@ -153,6 +154,27 @@ class TestProductStatesIn2d:
         sub = Subspace((make_state([1, 0, 0, 0]),))
         with pytest.raises(BadDimension):
             product_states_in_2d(sub)
+
+    @pytest.mark.parametrize("x", [4e-10, 7e-10, 9e-10, 3e-9])
+    def test_near_product_plane_factors_under_one_threshold(self, x):
+        # det quadratic of span{|00> + x|11>, |01>} has scale x: between
+        # eps_zero/2 and eps_zero the plane used to be called all-product
+        # while its basis state failed is_product, raising TypeError
+        u = make_state([1, 0, 0, x])
+        enum = product_states_in_2d(Subspace((u, make_state([0, 1, 0, 0]))))
+        if enum.kind is EnumerationKind.ALL_PRODUCT:
+            assert is_product(u)[0]
+        else:
+            assert not is_product(u)[0]
+            assert all(concurrence(s) < 1e-9 for s in enum.states)
+
+    def test_all_product_plane_uses_given_eps_zero(self):
+        u = make_state([1, 0, 0, 1e-7])
+        sub = Subspace((u, make_state([0, 1, 0, 0])))
+        enum = product_states_in_2d(sub, eps_zero=1e-6)
+        assert enum.kind is EnumerationKind.ALL_PRODUCT
+        assert enum.fixed_side == "left"
+        np.testing.assert_allclose(enum.fixed_factor, [1, 0], atol=1e-12)
 
     def test_never_empty_and_sound(self):
         # existence of a product state in every 2-D subspace
