@@ -13,9 +13,9 @@ import click
 import numpy as np
 
 from .discrimination import HierarchyLabel, classify
-from .ensembles import OrthogonalSet, Tolerances, average_entanglement
+from .ensembles import OrthogonalSet, average_entanglement
 from .errors import BadBounds, BadParam, QloccError
-from .io import DocumentError, amplitude_pairs, emit_document, parse_document, sweep_csv
+from .io import amplitude_pairs, emit_document, parse_document, sweep_csv
 from .states import entanglement_profile, make_state
 from .ueb import (
     GeneratorParams,
@@ -23,7 +23,6 @@ from .ueb import (
     generate_eq1,
     generate_eq2,
     random_max_entangled_triple,
-    ueb_check,
 )
 from .verify import DEFAULT_SEED, SUITES
 
@@ -38,19 +37,6 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
-def _tolerances_from(option_values) -> Tolerances:
-    kwargs = {}
-    for item in option_values:
-        key, _, value = item.partition("=")
-        if key not in ("eps_orth", "eps_zero", "tau_overlap") or not value:
-            _fail_input(f"bad --tolerance '{item}' (expected key=value)")
-        try:
-            kwargs[key] = float(value)
-        except ValueError:
-            _fail_input(f"bad --tolerance value '{value}'")
-    return Tolerances(**kwargs)
-
-
 def _classification_payload(ensemble, labels):
     cls, report = classify(ensemble)
     payload = {
@@ -62,13 +48,12 @@ def _classification_payload(ensemble, labels):
     }
     if cls.ueb_span is not None:
         payload["ueb_span"] = cls.ueb_span
-    if len(ensemble) == 3:
-        verdict = ueb_check(ensemble)
+    if cls.ueb is not None:
         payload["ueb"] = {
-            "is_ueb": verdict.is_ueb,
-            "reason": verdict.reason,
-            "complement_concurrence": verdict.complement_concurrence,
-            "complement_state": amplitude_pairs(verdict.complement_state),
+            "is_ueb": cls.ueb.is_ueb,
+            "reason": cls.ueb.reason,
+            "complement_concurrence": cls.ueb.complement_concurrence,
+            "complement_state": amplitude_pairs(cls.ueb.complement_state),
         }
     for v, label, state in zip(report.per_state, labels, ensemble.states):
         profile = entanglement_profile(state)
@@ -126,9 +111,9 @@ def cmd_classify(document, json_out):
     try:
         with open(document) as fh:
             parsed = parse_document(fh.read())
-    except (DocumentError, QloccError) as exc:
+        payload = _classification_payload(parsed.ensemble, parsed.labels)
+    except QloccError as exc:
         _fail_input(str(exc))
-    payload = _classification_payload(parsed.ensemble, parsed.labels)
     _print_human(payload)
     if json_out == "-":
         click.echo(json.dumps(payload, indent=2))
@@ -161,7 +146,7 @@ def _sweep_record(lam1, lam3, ensemble):
         "class": cls.describe(),
         "unidentifiable": [v.index for v in report.per_state if not v.identifiable],
         "avg_entanglement": average_entanglement(ensemble),
-        "is_ueb": ueb_check(ensemble).is_ueb,
+        "is_ueb": cls.ueb.is_ueb,
     }
 
 

@@ -6,7 +6,8 @@ with every other member (a product witness; Chefles, PRA 69, 050307(R)
 (2004)).  All witness searches reduce to product-state enumeration in the
 orthocomplement of the other members.  A triple needs only one complement:
 with d its 1-D orthocomplement, the states orthogonal to the other two
-members are exactly span{psi_i, d}, and d being product is the UEB-span bit.
+members are exactly span{psi_i, d}, and d's concurrence decides both the
+UEB-span bit and the UEB verdict.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 from .ensembles import OrthogonalSet
 from .errors import IndexOutOfRange, InternalContradiction
-from .products import (
-    EnumerationKind,
-    Subspace,
-    orthocomplement,
-    product_states_in_2d,
-)
-from .states import PureState, is_product, make_state
+from .products import Subspace, orthocomplement, product_states_in_2d
+from .states import PureState, concurrence
 
 # Witnesses with target overlap inside [tau, WARN_BAND_FACTOR * tau] are
 # numerically suspect; reports carry a warning flag for them.
@@ -58,10 +52,19 @@ class HierarchyLabel(IntEnum):
 
 
 @dataclass(frozen=True)
+class UebVerdict:
+    is_ueb: bool
+    complement_state: PureState
+    complement_concurrence: float
+    reason: str | None = None
+
+
+@dataclass(frozen=True)
 class NonlocalityClass:
     label: HierarchyLabel
     entangled_count: int
     ueb_span: bool | None = None  # cardinality-3 only
+    ueb: UebVerdict | None = None  # cardinality-3 only
 
     def describe(self) -> str:
         if self.label is HierarchyLabel.COMPLETE_BASIS:
@@ -69,36 +72,19 @@ class NonlocalityClass:
         return self.label.name.title().replace("_", "")
 
 
-def _witness_candidates(plane: Subspace, target: PureState, eps_zero: float):
-    """Product states in a 2-D witness plane, as witness candidates for target.
-
-    For an all-product plane the family representatives are augmented with
-    the overlap-maximizing member: with the left factor f fixed, the best
-    right factor is the conjugate of f^H M, M the target's coefficient matrix
-    (and symmetrically for a fixed right factor).
-    """
-    enum = product_states_in_2d(plane, eps_zero)
-    candidates = list(enum.states)
-    if enum.kind is EnumerationKind.ALL_PRODUCT:
-        m = target.matrix
-        f = enum.fixed_factor
-        if enum.fixed_side == "left":
-            g = f.conj() @ m
-        else:
-            g = m @ f.conj()
-        if np.linalg.norm(g) > 0:
-            chi = g.conj() / np.linalg.norm(g)
-            if enum.fixed_side == "left":
-                best = np.outer(f, chi)
-            else:
-                best = np.outer(chi, f)
-            candidates.append(make_state(best.reshape(4)))
-    return candidates
-
-
 def _triple_complement(ensemble: OrthogonalSet) -> PureState | None:
     """The 1-D orthocomplement d of a triple; None for 2 or 4 members."""
     return orthocomplement(ensemble).basis[0] if len(ensemble) == 3 else None
+
+
+def _ueb_verdict(ensemble: OrthogonalSet, d: PureState, entangled: int) -> UebVerdict:
+    """UEB conditions for a triple with complement d and `entangled` entangled members."""
+    comp_c = concurrence(d)
+    if entangled < 3:
+        return UebVerdict(False, d, comp_c, reason="NotAllEntangled")
+    if comp_c >= ensemble.tolerances.eps_zero:
+        return UebVerdict(False, d, comp_c, reason="EntangledComplement")
+    return UebVerdict(True, d, comp_c)
 
 
 def _member_verdict(ensemble: OrthogonalSet, i: int, d: PureState | None):
@@ -115,19 +101,20 @@ def _member_verdict(ensemble: OrthogonalSet, i: int, d: PureState | None):
     if d is None:
         if len(ensemble) == 2:
             return True, None
-        prod, _ = is_product(target, tol.eps_zero)
-        return (True, target) if prod else (False, None)
+        return (True, target) if concurrence(target) < tol.eps_zero else (False, None)
 
     best = None
     best_overlap = 0.0
-    for cand in _witness_candidates(Subspace((target, d)), target, tol.eps_zero):
+    for cand in product_states_in_2d(Subspace((target, d)), tol.eps_zero).states:
         ov = abs(cand.overlap(target))
         if ov > tol.tau_overlap and ov > best_overlap:
             best, best_overlap = cand, ov
     return best is not None, best
 
 
-def _report(ensemble: OrthogonalSet, d: PureState | None) -> IdentifiabilityReport:
+def _report(
+    ensemble: OrthogonalSet, d: PureState | None, entangled: int
+) -> IdentifiabilityReport:
     tol = ensemble.tolerances
     verdicts = []
     for i in range(len(ensemble)):
@@ -146,7 +133,7 @@ def _report(ensemble: OrthogonalSet, d: PureState | None) -> IdentifiabilityRepo
     return IdentifiabilityReport(
         per_state=tuple(verdicts),
         conclusively_distinguishable=all(v.identifiable for v in verdicts),
-        perfectly_distinguishable=perfectly_distinguishable(ensemble),
+        perfectly_distinguishable=_perfect(len(ensemble), entangled),
     )
 
 
@@ -163,24 +150,26 @@ def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     return _member_verdict(ensemble, i, _triple_complement(ensemble))
 
 
+def _perfect(n: int, entangled: int) -> bool:
+    if n == 2:
+        return True
+    if n == 3:
+        return entangled <= 1
+    return entangled == 0
+
+
 def perfectly_distinguishable(ensemble: OrthogonalSet) -> bool:
     """Rule-based perfect LOCC distinguishability.
 
     Two orthogonal states: always.  Three: exactly when at most one member is
     entangled.  A complete basis: exactly when every member is product.
     """
-    n = len(ensemble)
-    ec = ensemble.entangled_count()
-    if n == 2:
-        return True
-    if n == 3:
-        return ec <= 1
-    return ec == 0
+    return _perfect(len(ensemble), ensemble.entangled_count())
 
 
 def identifiability_report(ensemble: OrthogonalSet) -> IdentifiabilityReport:
     """Per-member conclusive-identifiability verdicts with witnesses."""
-    return _report(ensemble, _triple_complement(ensemble))
+    return _report(ensemble, _triple_complement(ensemble), ensemble.entangled_count())
 
 
 def classify(ensemble: OrthogonalSet):
@@ -188,13 +177,13 @@ def classify(ensemble: OrthogonalSet):
 
     Returns (NonlocalityClass, IdentifiabilityReport).  Raises
     InternalContradiction if a cardinality-3 ensemble comes back with all
-    three members unidentifiable, which theory rules out.  A triple's
-    ueb_span is whether its complement is product, i.e. whether some UEB
-    spans the same subspace.
+    three members unidentifiable, which theory rules out.  A triple also
+    gets its UebVerdict (`ueb`) and `ueb_span`: whether its complement is
+    product, i.e. whether some UEB spans the same subspace.
     """
     d = _triple_complement(ensemble)
-    report = _report(ensemble, d)
     ec = ensemble.entangled_count()
+    report = _report(ensemble, d, ec)
     if len(ensemble) == 4:
         return NonlocalityClass(HierarchyLabel.COMPLETE_BASIS, entangled_count=ec), report
 
@@ -212,5 +201,8 @@ def classify(ensemble: OrthogonalSet):
         label = HierarchyLabel.ONE_UNIDENTIFIABLE
     else:
         label = HierarchyLabel.TWO_UNIDENTIFIABLE
-    ueb_span = None if d is None else is_product(d, ensemble.tolerances.eps_zero)[0]
-    return NonlocalityClass(label, entangled_count=ec, ueb_span=ueb_span), report
+    if d is None:
+        return NonlocalityClass(label, entangled_count=ec), report
+    ueb = _ueb_verdict(ensemble, d, ec)
+    ueb_span = ueb.complement_concurrence < ensemble.tolerances.eps_zero
+    return NonlocalityClass(label, entangled_count=ec, ueb_span=ueb_span, ueb=ueb), report

@@ -9,6 +9,10 @@ class ZeroVector(QloccError):
     """Amplitude vector has (numerically) zero norm and cannot be normalized."""
 
 
+class NonFiniteNorm(QloccError):
+    """Amplitude vector has a NaN or infinite norm and cannot be normalized."""
+
+
 class EmptySet(QloccError):
     """An operation requiring a nonempty ensemble received an empty one."""
 

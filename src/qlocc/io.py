@@ -9,10 +9,11 @@ path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .ensembles import OrthogonalSet, Tolerances
-from .errors import QloccError
+from .errors import NonFiniteNorm, QloccError, ZeroVector
 from .states import PureState, make_state
 
 
@@ -26,14 +27,23 @@ class EnsembleDocument:
     labels: tuple[str, ...]
 
 
+def _finite_number(value, path) -> float:
+    """A JSON number as a float; bools, NaN, infinities and overflow are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DocumentError(f"{path}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DocumentError(f"{path}: expected a finite number, got {value!r}")
+    return x
+
+
 def _parse_amplitude(value, path):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise DocumentError(f"{path}: expected [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_finite_number(value[0], path), _finite_number(value[1], path))
 
 
 def parse_document(text: str) -> EnsembleDocument:
@@ -53,7 +63,10 @@ def parse_document(text: str) -> EnsembleDocument:
         if not isinstance(raw, list) or len(raw) != 4:
             raise DocumentError(f"states[{i}]: expected four amplitude pairs")
         amps = [_parse_amplitude(a, f"states[{i}][{k}]") for k, a in enumerate(raw)]
-        states.append(make_state(amps))
+        try:
+            states.append(make_state(amps))
+        except (ZeroVector, NonFiniteNorm) as exc:
+            raise DocumentError(f"states[{i}]: {exc}") from exc
 
     labels = doc.get("labels")
     if labels is None:
@@ -67,9 +80,10 @@ def parse_document(text: str) -> EnsembleDocument:
         raise DocumentError("tolerances: expected an object")
     for key in ("eps_orth", "eps_zero", "tau_overlap"):
         if key in overrides:
-            if not isinstance(overrides[key], (int, float)):
-                raise DocumentError(f"tolerances.{key}: expected a number")
-            tol_kwargs[key] = float(overrides[key])
+            value = _finite_number(overrides[key], f"tolerances.{key}")
+            if value <= 0:
+                raise DocumentError(f"tolerances.{key}: must be positive, got {value!r}")
+            tol_kwargs[key] = value
     unknown = set(overrides) - {"eps_orth", "eps_zero", "tau_overlap"}
     if unknown:
         raise DocumentError(f"tolerances: unknown keys {sorted(unknown)}")

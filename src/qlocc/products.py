@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensembles import OrthogonalSet
 from .errors import BadDimension, FullSpace
-from .states import EPS_ORTH, EPS_ZERO, PureState, is_product, make_state
+from .states import EPS_ORTH, EPS_ZERO, PureState, make_state
 
 EPS_DISC = 1e-8
 
@@ -57,16 +57,14 @@ class ProductStateEnumeration:
     """All product states in a 2-D subspace.
 
     Either a finite list of one or two states (with root multiplicities), or
-    the whole subspace, in which case `fixed_side`/`fixed_factor` describe the
-    common single-qubit factor and `states` holds three distinct
-    representatives of the family.
+    the whole subspace, in which case `states` holds three distinct
+    representatives of the family: the two basis states and their
+    normalized sum.
     """
 
     kind: EnumerationKind
     states: tuple[PureState, ...]
     multiplicities: tuple[int, ...] = ()
-    fixed_side: str | None = None  # "left" or "right" when ALL_PRODUCT
-    fixed_factor: np.ndarray | None = None
 
 
 class ProjectiveRoots(Enum):
@@ -125,17 +123,6 @@ def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
     return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))
 
 
-def _all_product_description(u: PureState, v: PureState, eps_zero: float):
-    """Fixed factor side and value for a 2-D subspace of product states."""
-    _, fu = is_product(u, eps_zero)
-    _, fv = is_product(v, eps_zero)
-    lu, ru = fu
-    lv, rv = fv
-    if abs(np.vdot(lu, lv)) > 1.0 - 1e-7:
-        return "left", lu
-    return "right", ru
-
-
 def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductStateEnumeration:
     """Enumerate the product states in a 2-D subspace.
 
@@ -152,17 +139,9 @@ def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductSt
     kind, roots = quadratic_roots(det_u, cross, det_v, eps_zero)
 
     if kind is ProjectiveRoots.IDENTICALLY_ZERO:
-        side, factor = _all_product_description(u, v, eps_zero)
-        reps = (
-            u,
-            v,
-            make_state(u.amps + v.amps),
-        )
         return ProductStateEnumeration(
             kind=EnumerationKind.ALL_PRODUCT,
-            states=reps,
-            fixed_side=side,
-            fixed_factor=factor,
+            states=(u, v, make_state(u.amps + v.amps)),
         )
 
     states = []

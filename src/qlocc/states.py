@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import NonFiniteNorm, ZeroVector
 
 EPS_NORM = 1e-12
 EPS_ZERO = 1e-9
@@ -55,10 +55,13 @@ class PureState:
 def make_state(amplitudes, eps_zero: float = EPS_ZERO) -> PureState:
     """Normalize and phase-canonicalize four complex amplitudes.
 
-    Raises ZeroVector when the input norm is numerically zero.
+    Raises ZeroVector when the input norm is numerically zero, NonFiniteNorm
+    when it is NaN or overflows to infinity.
     """
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
     norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise NonFiniteNorm(f"amplitude vector norm {norm} is not finite")
     if norm <= eps_zero:
         raise ZeroVector(f"amplitude vector norm {norm:.3g} is numerically zero")
     return PureState(_canonical_phase(a / norm, eps_zero))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrimination import UebVerdict, _triple_complement, _ueb_verdict
 from .ensembles import OrthogonalSet, Tolerances
 from .errors import BadCardinality, BadParam
-from .products import orthocomplement
 from .states import PureState, concurrence, is_product, make_state
 
 # Maximally entangled basis closed under real linear combinations: any real
@@ -64,14 +64,6 @@ class GeneratorParams:
     @property
     def lam4(self) -> float:
         return 1.0 - self.lam3
-
-
-@dataclass(frozen=True)
-class UebVerdict:
-    is_ueb: bool
-    complement_state: PureState
-    complement_concurrence: float
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -140,25 +132,17 @@ def random_max_entangled_triple(seed: int) -> OrthogonalSet:
     return OrthogonalSet(states)
 
 
-def _triple_complement(ensemble: OrthogonalSet) -> PureState:
-    """The 1-D orthocomplement of a cardinality-3 set."""
-    if len(ensemble) != 3:
+def ueb_check(ensemble: OrthogonalSet) -> UebVerdict:
+    """Verify the UEB conditions: all members entangled, complement product.
+
+    classify carries the same verdict for a triple as its `ueb` field.
+    """
+    d = _triple_complement(ensemble)
+    if d is None:
         raise BadCardinality(
             f"two-qubit UEBs have cardinality exactly 3, got {len(ensemble)}"
         )
-    return orthocomplement(ensemble).basis[0]
-
-
-def ueb_check(ensemble: OrthogonalSet) -> UebVerdict:
-    """Verify the UEB conditions: all members entangled, complement product."""
-    eps = ensemble.tolerances.eps_zero
-    comp = _triple_complement(ensemble)
-    comp_c = concurrence(comp)
-    if any(concurrence(s) < eps for s in ensemble.states):
-        return UebVerdict(False, comp, comp_c, reason="NotAllEntangled")
-    if comp_c >= eps:
-        return UebVerdict(False, comp, comp_c, reason="EntangledComplement")
-    return UebVerdict(True, comp, comp_c)
+    return _ueb_verdict(ensemble, d, ensemble.entangled_count())
 
 
 def _unitary_sending_one_to(factor: np.ndarray) -> np.ndarray:
@@ -174,7 +158,7 @@ def ueb_spanning_check(ensemble: OrthogonalSet) -> SpanningVerdict:
     case a witness UEB is constructed by rotating the canonical entangled
     family so its complement |11> lands on the actual complement's factors.
     """
-    comp = _triple_complement(ensemble)
+    comp = ueb_check(ensemble).complement_state
     prod, factors = is_product(comp, ensemble.tolerances.eps_zero)
     if not prod:
         return SpanningVerdict(False, comp, None)

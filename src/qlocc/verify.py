@@ -22,7 +22,6 @@ from .ueb import (
     generate_eq1,
     generate_eq2,
     random_max_entangled_triple,
-    ueb_check,
 )
 
 DEFAULT_SEED = 20240901
@@ -95,7 +94,7 @@ def suite_prop2(grid: np.ndarray | None = None) -> SuiteResult:
         if (
             cls.label is not HierarchyLabel.ONE_UNIDENTIFIABLE
             or bad != (0,)
-            or not ueb_check(ens).is_ueb
+            or not cls.ueb.is_ueb
         ):
             res.failures += 1
             res.notes.append(f"({l1:.2f},{l3:.2f}): {cls.describe()} bad={bad}")

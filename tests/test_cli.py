@@ -64,6 +64,38 @@ def test_classify_malformed_amplitude_exits_2(tmp_path):
     assert "states[0][2]" in res.output
 
 
+def _triple_doc(third, **extra):
+    first, second = [[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]]
+    return json.dumps({"states": [first, second, third], **extra})
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        pytest.param(_triple_doc([[0, 0], [0, 0], [_NAN, 0], [0, 0]]), "states[2][2]", id="nan"),
+        pytest.param(_triple_doc([[0, 0], [0, 0], [0, _INF], [0, 0]]), "states[2][2]", id="inf"),
+        pytest.param(
+            _triple_doc([[0, 0], [0, 0], [1e308, 0], [1e308, 0]]), "states[2]", id="norm-overflow"
+        ),
+        pytest.param(_triple_doc([[0, 0], [0, 0], [True, 0], [0, 0]]), "states[2][2]", id="bool"),
+        pytest.param(
+            _triple_doc([[0, 0], [0, 0], [1, 0], [0, 0]], tolerances={"eps_zero": _NAN}),
+            "tolerances.eps_zero",
+            id="nan-tolerance",
+        ),
+    ],
+)
+def test_classify_non_finite_or_bool_input_exits_2(tmp_path, text, field):
+    doc = tmp_path / "bad.json"
+    doc.write_text(text)
+    res = run("classify", str(doc))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+
+
 def test_classify_nonorthogonal_exits_2(tmp_path):
     doc = tmp_path / "bad.json"
     doc.write_text(

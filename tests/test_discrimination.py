@@ -1,9 +1,13 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import qlocc.products
 from qlocc import (
+    EnumerationKind,
     HierarchyLabel,
     OrthogonalSet,
     Subspace,
@@ -15,11 +19,20 @@ from qlocc import (
     make_state,
     orthocomplement,
     perfectly_distinguishable,
+    product_states_in_2d,
     random_orthogonal_set,
     states_equal_up_to_phase,
 )
+from qlocc.cli import main
 from qlocc.errors import IndexOutOfRange
-from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
+from qlocc.io import emit_document
+from qlocc.ueb import (
+    GeneratorParams,
+    generate_eq1,
+    generate_eq2,
+    random_max_entangled_triple,
+    ueb_check,
+)
 
 
 def assert_chefles(ensemble, i, witness, eps_orth=1e-9, tau=1e-7):
@@ -227,28 +240,53 @@ class TestToleranceEdges:
                 assert ov > 1e-7 if j == v.index else ov < 1e-9
 
 
+def _all_product_triple():
+    """{f(x)t, f'(x)a, f'(x)a'} with complex factors, f' and a' the orthogonal ones.
+
+    Member 0's witness plane span{f(x)t, f(x)t'} is all product.
+    """
+    rng = np.random.default_rng(93_000)
+    g = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    f, t, a = g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    def perp(v):
+        return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+    members = (np.kron(f, t), np.kron(perp(f), a), np.kron(perp(f), perp(a)))
+    return OrthogonalSet(tuple(make_state(m) for m in members))
+
+
 def _haar_family_bell_triples(bell_triple, haar=20):
     triples = [random_orthogonal_set(90_000 + k, size=3) for k in range(haar)]
     triples += [generate_eq1(GeneratorParams(l1, l3)) for l1, l3 in [(0.3, 0.4), (0.75, 0.15)]]
     triples += [generate_eq2(l1) for l1 in (0.2, 0.65)]
-    return triples + [bell_triple]
+    return triples + [bell_triple, _all_product_triple()]
+
+
+def _count_complements(monkeypatch):
+    """Count orthocomplement calls under every qlocc module that binds it."""
+    calls = []
+    original = qlocc.products.orthocomplement
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qlocc" and getattr(module, "orthocomplement", None) is original:
+            monkeypatch.setattr(module, "orthocomplement", counting)
+    return calls
 
 
 class TestOneComplementPerTriple:
-    def test_classify_computes_one_complement(self, monkeypatch):
-        import qlocc.discrimination as disc
+    def test_classify_computes_one_complement(self, monkeypatch, tmp_path):
         import qlocc.ueb as ueb
 
-        calls = []
-
-        def counting(source):
-            calls.append(source)
-            return orthocomplement(source)
+        calls = _count_complements(monkeypatch)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("classify must not build a witness UEB")
 
-        monkeypatch.setattr(disc, "orthocomplement", counting)
         monkeypatch.setattr(ueb, "ueb_spanning_check", forbidden)
         monkeypatch.setattr(ueb, "generate_eq1", forbidden)
         for ens in (random_orthogonal_set(5, size=3), generate_eq2(0.2)):
@@ -256,6 +294,45 @@ class TestOneComplementPerTriple:
             cls, _ = classify(ens)
             assert len(calls) == 1
             assert cls.ueb_span is not None
+
+        calls.clear()
+        doc = tmp_path / "met.json"
+        doc.write_text(emit_document(random_max_entangled_triple(7)))
+        res = CliRunner().invoke(main, ["classify", str(doc), "--json", "-"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+        for family, points in (("eq1", 9), ("eq2", 3)):
+            calls.clear()
+            out = tmp_path / f"{family}.csv"
+            res = CliRunner().invoke(
+                main, ["sweep", family, "--grid", "0.1:0.9:3", "--out", str(out)]
+            )
+            assert res.exit_code == 0, res.output
+            assert len(calls) == points
+
+    def test_classify_carries_ueb_check_verdict(self, bell_triple, bell_basis):
+        cases = _haar_family_bell_triples(bell_triple)
+        cases += [random_max_entangled_triple(92_000 + k) for k in range(10)]
+        cases.append(OrthogonalSet(tuple(make_state(np.eye(4)[k]) for k in range(3))))
+        reasons = set()
+        for ens in cases:
+            carried, ref = classify(ens)[0].ueb, ueb_check(ens)
+            assert (carried.is_ueb, carried.reason) == (ref.is_ueb, ref.reason)
+            assert carried.complement_concurrence == pytest.approx(
+                ref.complement_concurrence, abs=1e-12
+            )
+            assert states_equal_up_to_phase(carried.complement_state, ref.complement_state)
+            reasons.add(carried.reason)
+        assert reasons == {None, "NotAllEntangled", "EntangledComplement"}
+        assert classify(bell_basis)[0].ueb is None
+        assert classify(random_orthogonal_set(6, size=2))[0].ueb is None
+
+    def test_all_product_plane_witness_is_target(self):
+        ens = _all_product_triple()
+        plane = Subspace((ens[0], orthocomplement(ens).basis[0]))
+        assert product_states_in_2d(plane).kind is EnumerationKind.ALL_PRODUCT
+        _, report = classify(ens)
+        assert abs(report.per_state[0].witness_overlap - 1.0) < 1e-12
 
     def test_witness_plane_is_complement_of_others(self, bell_triple):
         # reference: the complement of the other two members, one SVD each

@@ -55,6 +55,19 @@ class TestParseDocument:
         parsed = parse_document(doc_text(PAIR, tolerances={"eps_zero": 1e-6}))
         assert parsed.ensemble.tolerances.eps_zero == 1e-6
 
+    @pytest.mark.parametrize("value", [True, 0, -1e-9, float("nan"), float("inf"), "1e-9"])
+    def test_bad_tolerance_named_by_path(self, value):
+        with pytest.raises(DocumentError, match=r"tolerances\.eps_zero"):
+            parse_document(doc_text(PAIR, tolerances={"eps_zero": value}))
+
+    @pytest.mark.parametrize(
+        "value", [True, float("nan"), -float("inf"), pytest.param(10**400, id="int-overflow")]
+    )
+    def test_non_finite_or_bool_amplitude_named_by_path(self, value):
+        bad = PAIR[0], [[SQ2, 0], [0, 0], [0, value], [-SQ2, 0]]
+        with pytest.raises(DocumentError, match=r"states\[1\]\[2\]"):
+            parse_document(doc_text(list(bad)))
+
     def test_unknown_tolerance_key(self):
         with pytest.raises(DocumentError, match="unknown"):
             parse_document(doc_text(PAIR, tolerances={"epsilon": 1}))

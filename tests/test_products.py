@@ -22,6 +22,15 @@ from qlocc.ueb import GeneratorParams, generate_eq1
 from conftest import random_states
 
 
+def assert_common_factor(enum, side, factor, eps_zero=1e-9):
+    """Every representative factors with `factor` on `side`, up to phase."""
+    k = 0 if side == "left" else 1
+    for s in enum.states:
+        prod, factors = is_product(s, eps_zero)
+        assert prod
+        assert abs(abs(np.vdot(factors[k], factor)) - 1.0) < 1e-12
+
+
 def root_ratios(roots):
     """Projective roots as ratios a/b (inf encoded as None)."""
     out = []
@@ -131,8 +140,7 @@ class TestProductStatesIn2d:
         sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 1, 0, 0])))
         enum = product_states_in_2d(sub)
         assert enum.kind is EnumerationKind.ALL_PRODUCT
-        assert enum.fixed_side == "left"
-        np.testing.assert_allclose(enum.fixed_factor, [1, 0], atol=1e-12)
+        assert_common_factor(enum, "left", [1, 0])
         assert len(enum.states) == 3
         for s in enum.states:
             assert concurrence(s) < 1e-12
@@ -141,7 +149,7 @@ class TestProductStatesIn2d:
         sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 0, 1, 0])))
         enum = product_states_in_2d(sub)
         assert enum.kind is EnumerationKind.ALL_PRODUCT
-        assert enum.fixed_side == "right"
+        assert_common_factor(enum, "right", [1, 0])
 
     def test_diagonal_span(self):
         sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 0, 0, 1])))
@@ -173,8 +181,7 @@ class TestProductStatesIn2d:
         sub = Subspace((u, make_state([0, 1, 0, 0])))
         enum = product_states_in_2d(sub, eps_zero=1e-6)
         assert enum.kind is EnumerationKind.ALL_PRODUCT
-        assert enum.fixed_side == "left"
-        np.testing.assert_allclose(enum.fixed_factor, [1, 0], atol=1e-12)
+        assert_common_factor(enum, "left", [1, 0], eps_zero=1e-6)
 
     def test_never_empty_and_sound(self):
         # existence of a product state in every 2-D subspace
