@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
-from .errors import EmptySet, InvalidSet
+from .errors import BadTolerance, EmptySet, InvalidSet
 from .states import (
     EPS_ORTH,
     EPS_ZERO,
@@ -25,6 +27,16 @@ class Tolerances:
     eps_zero: float = EPS_ZERO
     tau_overlap: float = TAU_OVERLAP
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            # NaN, inf and ints past the float range fail the chained comparison
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v <= sys.float_info.max:
+                raise BadTolerance(f"{f.name}: must be a positive finite number, got {v!r}")
+
+
+_DEFAULT_TOLERANCES = Tolerances()
+
 
 @dataclass(frozen=True)
 class OrthogonalSet:
@@ -34,7 +46,7 @@ class OrthogonalSet:
     """
 
     states: tuple[PureState, ...]
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = _DEFAULT_TOLERANCES
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -44,9 +56,10 @@ class OrthogonalSet:
         for i in range(n):
             for j in range(i + 1, n):
                 ov = abs(self.states[i].overlap(self.states[j]))
-                if ov >= self.tolerances.eps_orth:
+                # not <, so a non-finite amplitude (NaN overlap) fails too
+                if not ov < self.tolerances.eps_orth:
                     raise InvalidSet(
-                        f"states {i} and {j} are not orthogonal: "
+                        f"states {i} and {j} are not orthogonal or not finite: "
                         f"|<{i}|{j}>| = {ov:.3e}"
                     )
 

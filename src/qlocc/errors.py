@@ -57,5 +57,9 @@ class ResolutionTooCoarse(QloccError):
     """The grid oracle failed its calibration on a certified-positive case."""
 
 
+class BadTolerance(QloccError, ValueError):
+    """A tolerance is a bool, not a number, not finite, or not positive."""
+
+
 class BadGrid(QloccError, ValueError):
     """A grid specification has too few angle points or refinement rounds."""

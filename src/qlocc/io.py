@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .ensembles import OrthogonalSet, Tolerances
-from .errors import NonFiniteNorm, QloccError, ZeroVector
+from .errors import BadTolerance, NonFiniteNorm, QloccError, ZeroVector
 from .states import PureState, make_state
 
 
@@ -74,21 +74,18 @@ def parse_document(text: str) -> EnsembleDocument:
     elif not isinstance(labels, list) or len(labels) != len(states):
         raise DocumentError("labels: must match the number of states")
 
-    tol_kwargs = {}
     overrides = doc.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise DocumentError("tolerances: expected an object")
-    for key in ("eps_orth", "eps_zero", "tau_overlap"):
-        if key in overrides:
-            value = _finite_number(overrides[key], f"tolerances.{key}")
-            if value <= 0:
-                raise DocumentError(f"tolerances.{key}: must be positive, got {value!r}")
-            tol_kwargs[key] = value
     unknown = set(overrides) - {"eps_orth", "eps_zero", "tau_overlap"}
     if unknown:
         raise DocumentError(f"tolerances: unknown keys {sorted(unknown)}")
+    try:
+        tolerances = Tolerances(**overrides)
+    except BadTolerance as exc:
+        raise DocumentError(f"tolerances.{exc}") from exc
 
-    ensemble = OrthogonalSet(tuple(states), tolerances=Tolerances(**tol_kwargs))
+    ensemble = OrthogonalSet(tuple(states), tolerances=tolerances)
     return EnsembleDocument(ensemble=ensemble, labels=tuple(labels))
 
 

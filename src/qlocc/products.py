@@ -20,6 +20,11 @@ from .states import EPS_ORTH, EPS_ZERO, PureState, make_state
 
 EPS_DISC = 1e-8
 
+# np.allclose(gram, eye(k), atol=10 * EPS_ORTH) as one comparison: atol off the
+# diagonal, atol + rtol (1e-5) on it; NaN compares false, as in allclose.
+_EYE = {k: np.eye(k) for k in range(1, 5)}
+_GRAM_TOL = {k: 10 * EPS_ORTH + 1e-5 * _EYE[k] for k in range(1, 5)}
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -31,8 +36,9 @@ class Subspace:
         object.__setattr__(self, "basis", tuple(self.basis))
         if not 1 <= len(self.basis) <= 4:
             raise BadDimension(f"basis length must be 1..4, got {len(self.basis)}")
-        gram = self.matrix().conj().T @ self.matrix()
-        if not np.allclose(gram, np.eye(len(self.basis)), atol=10 * EPS_ORTH):
+        k = len(self.basis)
+        m = self.matrix()
+        if not (abs(m.conj().T @ m - _EYE[k]) <= _GRAM_TOL[k]).all():
             raise BadDimension("basis is not orthonormal")
 
     @property
@@ -113,11 +119,25 @@ def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS
     return ProjectiveRoots.ROOTS, [(r1, 1), (r2, 1)]
 
 
+def _det3(p, q, r) -> complex:
+    """Determinant of the 3x3 matrix with rows p, q, r."""
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
-    """Orthonormal basis of the orthogonal complement of the input's span."""
+    """Orthonormal basis of the orthogonal complement of the input's span.
+
+    Three columns b_k leave the conjugated cofactor vector d of B: <b_k|d> is
+    conj(det[b_k | B]) = 0, and |d| = 1 when the columns are orthonormal.
+    """
     b = source.matrix()
     if b.shape[1] >= 4:
         raise FullSpace("input spans the whole two-qubit space")
+    if b.shape[1] == 3:
+        r0, r1, r2, r3 = b.tolist()
+        cof = (_det3(r1, r2, r3), -_det3(r0, r2, r3), _det3(r0, r1, r3), -_det3(r0, r1, r2))
+        return Subspace((make_state([c.conjugate() for c in cof]),))
     _, _, vh = np.linalg.svd(b.conj().T, full_matrices=True)
     comp = vh[b.shape[1]:].conj()
     return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))
@@ -132,10 +152,12 @@ def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductSt
     if sub.dim != 2:
         raise BadDimension(f"expected a 2-D subspace, got dim {sub.dim}")
     u, v = sub.basis
-    mu, mv = u.matrix, v.matrix
-    det_u = np.linalg.det(mu)
-    det_v = np.linalg.det(mv)
-    cross = np.linalg.det(mu + mv) - det_u - det_v
+    # det(a M_u + b M_v) = a^2 det_u + a b cross + b^2 det_v, all in closed form
+    au, bu, cu, du = u.amps.tolist()
+    av, bv, cv, dv = v.amps.tolist()
+    det_u = au * du - bu * cu
+    det_v = av * dv - bv * cv
+    cross = au * dv + du * av - bu * cv - cu * bv
     kind, roots = quadratic_roots(det_u, cross, det_v, eps_zero)
 
     if kind is ProjectiveRoots.IDENTICALLY_ZERO:

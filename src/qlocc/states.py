@@ -8,6 +8,7 @@ rank decides the product/entangled dichotomy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ EPS_ORTH = 1e-9
 
 def _canonical_phase(amps: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """Rotate the global phase so the first non-negligible amplitude is real >= 0."""
-    for a in amps:
+    for a in amps.tolist():
         if abs(a) > eps_zero:
             return amps * (abs(a) / a)
     return amps
@@ -59,8 +60,9 @@ def make_state(amplitudes, eps_zero: float = EPS_ZERO) -> PureState:
     when it is NaN or overflows to infinity.
     """
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
-    norm = np.linalg.norm(a)
-    if not np.isfinite(norm):
+    # vdot, unlike np.linalg.norm, overflows to inf without a RuntimeWarning
+    norm = math.sqrt(np.vdot(a, a).real)
+    if not math.isfinite(norm):
         raise NonFiniteNorm(f"amplitude vector norm {norm} is not finite")
     if norm <= eps_zero:
         raise ZeroVector(f"amplitude vector norm {norm:.3g} is numerically zero")
@@ -73,8 +75,9 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
 
 
 def concurrence(s: PureState) -> float:
-    """Concurrence 2|det M|: 0 for product states, 1 for maximally entangled."""
-    return float(min(1.0, 2.0 * abs(np.linalg.det(s.matrix))))
+    """Concurrence 2|det M| = 2|ad - bc|: 0 for product states, 1 for maximally entangled."""
+    a, b, c, d = s.amps.tolist()
+    return min(1.0, 2.0 * abs(a * d - b * c))
 
 
 @dataclass(frozen=True)

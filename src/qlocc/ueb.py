@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import UebVerdict, _triple_complement, _ueb_verdict
-from .ensembles import OrthogonalSet, Tolerances
+from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, Tolerances
 from .errors import BadCardinality, BadParam
 from .states import PureState, concurrence, is_product, make_state
 
@@ -96,7 +96,7 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
             "family is nominally nonmaximally entangled",
             MaximalEntanglementWarning,
         )
-    return OrthogonalSet(states, tolerances=tolerances or Tolerances())
+    return OrthogonalSet(states, tolerances=tolerances or _DEFAULT_TOLERANCES)
 
 
 def generate_eq2(lam1: float, tolerances: Tolerances | None = None) -> OrthogonalSet:
@@ -108,7 +108,7 @@ def generate_eq2(lam1: float, tolerances: Tolerances | None = None) -> Orthogona
         make_state(np.sqrt(l1) * _KET01 + np.sqrt(l2) * _KET10),
         make_state(np.sqrt(l2) * _KET01 - np.sqrt(l1) * _KET10),
     )
-    return OrthogonalSet(states, tolerances=tolerances or Tolerances())
+    return OrthogonalSet(states, tolerances=tolerances or _DEFAULT_TOLERANCES)
 
 
 def _random_orthogonal_matrix(rng: np.random.Generator) -> np.ndarray:

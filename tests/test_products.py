@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import qlocc.products
 from qlocc import (
     EnumerationKind,
     OrthogonalSet,
+    PureState,
     Subspace,
     concurrence,
     is_product,
@@ -17,7 +19,7 @@ from qlocc import (
 )
 from qlocc.errors import BadDimension, FullSpace
 from qlocc.products import ProjectiveRoots
-from qlocc.ueb import GeneratorParams, generate_eq1
+from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
 
 from conftest import random_states
 
@@ -207,6 +209,90 @@ class TestDeterminantQuadraticIdentity:
             lhs = np.linalg.det(a * u + b * v)
             rhs = a * a * du + a * b * cross + b * b * dv
             assert abs(lhs - rhs) < 1e-8
+
+
+def _kernel_triples(bell):
+    triples = [random_orthogonal_set(91_000 + k, size=3) for k in range(300)]
+    triples += [random_max_entangled_triple(k) for k in range(100)]
+    triples += [generate_eq1(GeneratorParams(l1, l3)) for l1, l3 in [(0.3, 0.4), (0.75, 0.15)]]
+    triples += [generate_eq2(l1) for l1 in (0.2, 0.65)]
+    f, fp = np.array([1, 2j]), np.array([2j, 1])
+    t, a = np.array([0.6, 0.8j]), np.array([1, 1 + 1j])
+    ap = np.array([-np.conj(a[1]), np.conj(a[0])])
+    triples += [
+        OrthogonalSet(tuple(product_state(x, y) for x, y in [(f, t), (fp, a), (fp, ap)])),
+        OrthogonalSet(tuple(make_state(np.eye(4)[k]) for k in (0, 1, 2))),
+        OrthogonalSet(tuple(make_state(np.eye(4)[k]) for k in (0, 2, 3))),
+        OrthogonalSet((bell["phi+"], bell["phi-"], bell["psi+"])),
+    ]
+    return triples
+
+
+class TestClosedFormKernels:
+    """Each closed-form kernel against the numpy computation it replaced."""
+
+    def test_cofactor_complement_matches_svd(self, bell):
+        for ens in _kernel_triples(bell):
+            d = orthocomplement(ens).basis[0].amps
+            _, _, vh = np.linalg.svd(ens.matrix().conj().T, full_matrices=True)
+            assert abs(abs(np.vdot(vh[3].conj(), d)) - 1.0) < 1e-12
+            assert max(abs(np.vdot(s.amps, d)) for s in ens) < 1e-14
+
+    def test_determinant_coefficients_match_numpy(self, bell, monkeypatch):
+        seen = []
+        original = qlocc.products.quadratic_roots
+
+        def recording(c2, c1, c0, eps_zero):
+            seen.append((c2, c1, c0))
+            return original(c2, c1, c0, eps_zero)
+
+        monkeypatch.setattr(qlocc.products, "quadratic_roots", recording)
+        planes = [Subspace(random_orthogonal_set(92_000 + k, size=2).states) for k in range(300)]
+        planes += [Subspace((bell["phi+"], bell["psi-"])), Subspace((bell["phi+"], bell["phi-"]))]
+        for ens in _kernel_triples(bell):
+            planes.append(Subspace((ens[0], orthocomplement(ens).basis[0])))
+        for sub in planes:
+            product_states_in_2d(sub)
+            c2, c1, c0 = seen.pop()
+            mu, mv = (s.matrix for s in sub.basis)
+            du, dv = np.linalg.det(mu), np.linalg.det(mv)
+            cross = np.linalg.det(mu + mv) - du - dv
+            assert abs(c2 - du) < 1e-15 and abs(c0 - dv) < 1e-15
+            assert abs(c1 - cross) < 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "delta, ok",
+        [(1e-5 + 9e-9, True), (-1e-5 - 9e-9, True), (1e-5 + 1.1e-8, False), (-1e-5 - 1.1e-8, False)],
+    )
+    def test_gram_diagonal_check_is_allclose(self, k, delta, ok):
+        basis = [PureState(np.eye(4)[j]) for j in range(k - 1)]
+        basis.append(PureState(np.sqrt(1.0 + delta) * np.eye(4)[k - 1]))
+        self._check_gram(basis, ok)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("phase", [1, 1j])
+    @pytest.mark.parametrize("x, ok", [(9e-9, True), (1.1e-8, False)])
+    def test_gram_off_diagonal_check_is_allclose(self, k, phase, x, ok):
+        basis = [PureState(np.eye(4)[0]), PureState([phase * x, np.sqrt(1.0 - x * x), 0, 0])]
+        basis += [PureState(np.eye(4)[j]) for j in range(2, k)]
+        self._check_gram(basis, ok)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_gram_check_fails_on_nan(self, k):
+        basis = [PureState(np.eye(4)[j]) for j in range(k - 1)]
+        basis.append(PureState([0, 0, 0, np.nan]))
+        self._check_gram(basis, False)
+
+    @staticmethod
+    def _check_gram(basis, ok):
+        m = np.column_stack([s.amps for s in basis])
+        assert np.allclose(m.conj().T @ m, np.eye(len(basis)), atol=1e-8) is ok
+        if ok:
+            Subspace(tuple(basis))
+        else:
+            with pytest.raises(BadDimension):
+                Subspace(tuple(basis))
 
 
 class TestGridScanAgreement:

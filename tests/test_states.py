@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qlocc import (
     product_state,
     states_equal_up_to_phase,
 )
-from qlocc.errors import ZeroVector
+from qlocc.errors import NonFiniteNorm, ZeroVector
 
 from conftest import SQ2, random_states
 
@@ -41,6 +43,25 @@ class TestMakeState:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             make_state([0, 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[0, 0, 1e308, 1e308], [0, np.nan, 1, 0], [np.inf, 0, 0, 0]],
+        ids=["overflow", "nan", "inf"],
+    )
+    def test_non_finite_norm_rejected_without_warning(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteNorm):
+                make_state(amps)
+
+    def test_norm_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-6, 1.0, 1e6):
+            for row in scale * (rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))):
+                s = make_state(row)
+                ref = row / np.linalg.norm(row)
+                assert abs(abs(np.vdot(ref, s.amps)) - 1.0) < 1e-15
 
     def test_phase_canonicalized(self):
         s = make_state([0, 1j, -1j, 0])
@@ -79,6 +100,11 @@ class TestConcurrence:
             for side in (np.kron(u, np.eye(2)), np.kron(np.eye(2), u)):
                 rotated = make_state(side @ s.amps)
                 assert abs(concurrence(rotated) - concurrence(s)) < 1e-8
+
+
+    def test_closed_form_matches_numpy_det(self):
+        for s in random_states(1000, seed=13):
+            assert abs(concurrence(s) - 2.0 * abs(np.linalg.det(s.matrix))) <= 1e-15
 
 
 class TestCoefficientMatrix:
