@@ -12,14 +12,15 @@ import warnings
 import click
 import numpy as np
 
-from .discrimination import HierarchyLabel, classify
-from .ensembles import OrthogonalSet, average_entanglement
+from .discrimination import HierarchyLabel, NonlocalityClass, _decide, classify
+from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, _check_orthogonal, average_entanglement
 from .errors import BadBounds, BadParam, QloccError
-from .io import amplitude_pairs, emit_document, parse_document, sweep_csv
-from .states import entanglement_profile, make_state
+from .io import _SWEEP_HEADER, _sweep_row, amplitude_pairs, emit_document, parse_document
+from .states import _entropies, entanglement_profile, make_state
 from .ueb import (
     GeneratorParams,
     MaximalEntanglementWarning,
+    _family_rows,
     generate_eq1,
     generate_eq2,
     random_max_entangled_triple,
@@ -32,8 +33,13 @@ def main():
     """Two-qubit LOCC discrimination and nonlocality classification."""
 
 
+def _echo(message: str = "", **kwargs):
+    # an explicit stream: click.echo caches its default one so that it is never freed
+    click.echo(message, file=sys.stdout, **kwargs)
+
+
 def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -74,13 +80,13 @@ def _classification_payload(ensemble, labels):
 
 
 def _print_human(payload):
-    click.echo(f"class: {payload['class']}")
-    click.echo(f"entangled members: {payload['entangled_count']}")
-    click.echo(
+    _echo(f"class: {payload['class']}")
+    _echo(f"entangled members: {payload['entangled_count']}")
+    _echo(
         "conclusively distinguishable: "
         + ("yes" if payload["conclusively_distinguishable"] else "no")
     )
-    click.echo(
+    _echo(
         "perfectly distinguishable: "
         + ("yes" if payload["perfectly_distinguishable"] else "no")
     )
@@ -89,8 +95,8 @@ def _print_human(payload):
         status = "yes" if ueb["is_ueb"] else "no"
         if ueb["reason"]:
             status += f" ({ueb['reason']})"
-        click.echo(f"UEB: {status}")
-    click.echo(f"average entanglement: {payload['avg_entanglement']:.6f} ebits")
+        _echo(f"UEB: {status}")
+    _echo(f"average entanglement: {payload['avg_entanglement']:.6f} ebits")
     for entry in payload["states"]:
         line = (
             f"  {entry['label']}: "
@@ -99,7 +105,7 @@ def _print_human(payload):
         )
         if "witness" in entry:
             line += f", witness overlap {entry['witness_overlap']:.6f}"
-        click.echo(line)
+        _echo(line)
 
 
 @main.command("classify")
@@ -116,7 +122,7 @@ def cmd_classify(document, json_out):
         _fail_input(str(exc))
     _print_human(payload)
     if json_out == "-":
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     elif json_out:
         with open(json_out, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -138,16 +144,25 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, steps)
 
 
-def _sweep_record(lam1, lam3, ensemble):
-    cls, report = classify(ensemble)
-    return {
-        "lambda1": lam1,
-        "lambda3": lam3,
-        "class": cls.describe(),
-        "unidentifiable": [v.index for v in report.per_state if not v.identifiable],
-        "avg_entanglement": average_entanglement(ensemble),
-        "is_ueb": cls.ueb.is_ueb,
-    }
+_SWEEP_BLOCK = 4096  # grid points per kernel call: bounds a sweep's memory at any size
+
+
+def _sweep_records(lam1s, lam3s):
+    """Sweep records of eq1 over lam1s x lam3s, or of eq2 over lam1s when lam3s is None."""
+    names = [NonlocalityClass(label, 3).describe() for label in HierarchyLabel]
+    l1 = lam1s if lam3s is None else np.repeat(lam1s, len(lam3s))
+    l3 = None if lam3s is None else np.tile(lam3s, len(lam1s))
+    for start in range(0, len(l1), _SWEEP_BLOCK):
+        b1, b3 = (None if x is None else x[start : start + _SWEEP_BLOCK] for x in (l1, l3))
+        rows = _family_rows(b1, b3)
+        _check_orthogonal(rows, _DEFAULT_TOLERANCES.eps_orth)
+        v = _decide(rows, _DEFAULT_TOLERANCES)
+        avg = np.mean(_entropies(v.conc), axis=-1).tolist()
+        lam3 = [None] * len(b1) if b3 is None else b3.tolist()
+        for k, lam1 in enumerate(b1.tolist()):
+            bad = np.flatnonzero(v.hidden[k]).tolist()
+            yield {"lambda1": lam1, "lambda3": lam3[k], "class": names[v.labels[k]],
+                   "unidentifiable": bad, "avg_entanglement": avg[k], "is_ueb": bool(v.ueb[k])}
 
 
 @main.command("sweep")
@@ -164,23 +179,15 @@ def cmd_sweep(family, grid, grid_l3, out):
         lam3s = _parse_grid(grid_l3) if grid_l3 else lam1s
     except BadBounds as exc:
         _fail_input(str(exc))
-    records = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MaximalEntanglementWarning)
-        if family == "eq1":
-            for l1 in lam1s:
-                for l3 in lam3s:
-                    ens = generate_eq1(GeneratorParams(float(l1), float(l3)))
-                    records.append(_sweep_record(float(l1), float(l3), ens))
-        else:
-            for l1 in lam1s:
-                ens = generate_eq2(float(l1))
-                records.append(_sweep_record(float(l1), None, ens))
+    classes, points = set(), 0
     with open(out, "w", newline="") as fh:
-        fh.write(sweep_csv(records))
-    classes = sorted({r["class"] for r in records})
+        fh.write(_SWEEP_HEADER)
+        for rec in _sweep_records(lam1s, lam3s if family == "eq1" else None):
+            fh.write(_sweep_row(rec))
+            classes.add(rec["class"])
+            points += 1
     uniform = "uniform" if len(classes) == 1 else "MIXED"
-    click.echo(f"{len(records)} grid points -> {out}; classes {uniform}: {', '.join(classes)}")
+    _echo(f"{points} grid points -> {out}; classes {uniform}: {', '.join(sorted(classes))}")
 
 
 @main.command("demo-trit")
@@ -200,18 +207,18 @@ def cmd_demo_trit(lam1, lam3):
     except BadParam as exc:
         _fail_input(str(exc))
     cls, report = classify(ens)
-    click.echo(f"family parameters: lam1={lam1}, lam3={lam3} (class {cls.describe()})")
+    _echo(f"family parameters: lam1={lam1}, lam3={lam3} (class {cls.describe()})")
     for trit, v in enumerate(report.per_state):
         if v.identifiable:
-            click.echo(
+            _echo(
                 f"trit {trit}: recoverable (witness overlap {v.witness_overlap:.6f}, "
                 f"witness {[f'{a:.4g}' for a in v.witness.amps]})"
             )
         else:
-            click.echo(f"trit {trit}: protected (no product witness exists)")
+            _echo(f"trit {trit}: protected (no product witness exists)")
     for w in caught:
         if issubclass(w.category, MaximalEntanglementWarning):
-            click.echo(f"warning: {w.message}")
+            _echo(f"warning: {w.message}")
 
 
 @main.command("generate")
@@ -249,7 +256,7 @@ def cmd_generate(family, lam1, lam3, seed, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 @main.command("verify")
@@ -273,7 +280,7 @@ def cmd_verify(suites, count, seed):
             if "seed" in params:
                 kwargs["seed"] = seed
             result = fn(**kwargs)
-            click.echo(result.summary())
+            _echo(result.summary())
             failed = failed or not result.ok
     sys.exit(1 if failed else 0)
 

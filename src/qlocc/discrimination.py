@@ -1,24 +1,49 @@
 """Conclusive-identifiability tests and the nonlocality-hierarchy classifier.
 
-A state of an orthogonal ensemble is conclusively identifiable under LOCC
-exactly when some product state has nonzero overlap with it and zero overlap
-with every other member (a product witness; Chefles, PRA 69, 050307(R)
-(2004)).  All witness searches reduce to product-state enumeration in the
-orthocomplement of the other members.  A triple needs only one complement:
-with d its 1-D orthocomplement, the states orthogonal to the other two
-members are exactly span{psi_i, d}, and d's concurrence decides both the
-UEB-span bit and the UEB verdict.
+A member of an orthogonal ensemble is conclusively identifiable under LOCC
+exactly when some product state overlaps it and no other member (a product
+witness; Chefles, PRA 69, 050307(R) (2004)).  Two members are always
+perfectly distinguishable; a member of a basis has a witness iff it is product.
+
+In a triple with unit complement d the states orthogonal to the other
+members form span{psi_i, d}, and det(x psi_i + d) = det(psi_i) x^2 + c_i x +
+det(d) with c_i = -<d~|psi_i>, d~ = (sy x sy) d* the spin flip (Wootters, PRL
+80, 2245 (1998)).  Root x gives the witness x psi_i + d of target overlap
+|x| / sqrt(1 + |x|^2), and member i is identifiable when the best overlap
+exceeds tau_overlap: 1 if C(psi_i) < eps_zero (psi_i is its own witness);
+else, if C(d) < eps_zero, |c_i| / hypot(|c_i|, |det psi_i|) from the root
+(-c_i, det psi_i) besides d; else that of the root of larger modulus.  So a
+member is hidden when it is entangled, d is product and d~ is (nearly)
+orthogonal to it.  _decide evaluates this on whole stacks (N, n, 4).
+
+No triple has three hidden members if tau^2 (1 + eps_zero) < eps_zero and,
+unless eps_zero > 1, 3 tau^2 <= 4 (1 - tau^2)(1 - eps_zero^2), as Tolerances
+enforces.  Proof in exact arithmetic: G = U^T (sy x sy) U, U the unitary of
+columns psi_0, psi_1, psi_2, d, is unitary and symmetric with |G_kk| the
+concurrences and |G_id| = |c_i|.  If C(d) >= eps_zero the roots multiply to
+det(d) / det(psi_i), so one has |x|^2 >= C(d) / C(psi_i) >= eps_zero and
+overlap >= sqrt(eps_zero / (1 + eps_zero)) > tau: none is hidden.  If
+C(d) < eps_zero, row d gives sum_i |c_i|^2 = 1 - C(d)^2 > 1 - eps_zero^2,
+while a hidden member (C(psi_i) >= eps_zero, overlap <= tau) has |c_i|^2 <=
+1 - eps_zero^2 by row i and, as |det psi_i| <= 1/2, |c_i|^2 <= tau^2 / (4 (1 -
+tau^2)); three contradict the condition below eps_zero = 1; above 1 none is
+entangled.
+At exactly 1, a complement concurrence rounding below 1 defeats the argument
+(so 1 is left out).  The defaults meet both bounds by five orders of magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
-from .ensembles import OrthogonalSet
-from .errors import IndexOutOfRange, InternalContradiction
-from .products import Subspace, orthocomplement, product_states_in_2d
-from .states import PureState, concurrence
+import numpy as np
+
+from .ensembles import OrthogonalSet, Tolerances
+from .errors import IndexOutOfRange
+from .products import _complements
+from .states import PureState, _concurrences, _dets, make_state
 
 # Witnesses with target overlap inside [tau, WARN_BAND_FACTOR * tau] are
 # numerically suspect; reports carry a warning flag for them.
@@ -72,73 +97,85 @@ class NonlocalityClass:
         return self.label.name.title().replace("_", "")
 
 
-def _triple_complement(ensemble: OrthogonalSet) -> PureState | None:
-    """The 1-D orthocomplement d of a triple; None for 2 or 4 members."""
-    return orthocomplement(ensemble).basis[0] if len(ensemble) == 3 else None
+class _Verdicts(NamedTuple):
+    """_decide's output for N ensembles of n members; fields after hidden: triples only."""
+
+    conc: np.ndarray  # (N, n) member concurrences
+    entangled: np.ndarray  # (N,) members with concurrence >= eps_zero
+    hidden: np.ndarray  # (N, n) members without a product witness
+    labels: np.ndarray | None = None  # (N,) HierarchyLabel values
+    comp: np.ndarray | None = None  # (N, 4) unit complement d
+    comp_conc: np.ndarray | None = None  # (N,) C(d)
+    ueb_span: np.ndarray | None = None  # (N,) d is product
+    ueb: np.ndarray | None = None  # (N,) ueb_span with every member entangled
+    roots: tuple | None = None  # (a, b), each (N, 3): the deciding root a psi_i + b d
 
 
-def _ueb_verdict(ensemble: OrthogonalSet, d: PureState, entangled: int) -> UebVerdict:
-    """UEB conditions for a triple with complement d and `entangled` entangled members."""
-    comp_c = concurrence(d)
-    if entangled < 3:
+# c_i = psi_i . (d3, -d2, -d1, d0) = psi0 d3 + psi3 d0 - psi1 d2 - psi2 d1
+_FLIP = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
+    """The module docstring's rule on a stack (N, n, 4) of orthonormal members."""
+    n = amps.shape[1]
+    conc = _concurrences(amps)
+    ent = conc >= tol.eps_zero
+    entangled = np.add.reduce(ent, axis=1)
+    if n != 3:  # a basis member is hidden iff entangled; a pair hides nothing
+        return _Verdicts(conc, entangled, ent if n == 4 else ent & False)
+
+    d = _complements(amps)
+    d /= np.sqrt(np.square(np.abs(d)).sum(axis=-1, keepdims=True))
+    det, det_d, comp_conc = _dets(amps), _dets(d), _concurrences(d)
+    span = comp_conc < tol.eps_zero
+    c1 = np.matmul(amps, (d[:, ::-1] * _FLIP)[..., None])[..., 0]
+    sq = np.sqrt(c1 * c1 - 4.0 * det * det_d[:, None])
+    # q / det is the root of larger modulus (the roots multiply to det_d / det), so the
+    # better one; choosing q's sign as quadratic_roots does avoids cancellation
+    q = -(c1 + np.where(abs(c1 + sq) > abs(c1 - sq), sq, -sq)) / 2.0
+    a = np.where(ent, np.where(span[:, None], -c1, q), 1.0)
+    b = np.where(ent, det, 0.0)
+    hidden = ~(np.abs(a) / np.hypot(np.abs(a), np.abs(b)) > tol.tau_overlap)  # the overlap
+    labels = np.where(entangled <= 1, 0, 1 + hidden.sum(1))  # PERFECT_LOCC, or 1 + hidden
+    ueb = span & (entangled == 3)
+    return _Verdicts(conc, entangled, hidden, labels, d, comp_conc, span, ueb, (a, b))
+
+
+def _witness(ensemble: OrthogonalSet, v: _Verdicts, i: int) -> PureState | None:
+    """The product state whose overlap decided identifiable member i; None for n = 2."""
+    if len(ensemble) == 2:
+        return None
+    if v.conc[0, i] < ensemble.tolerances.eps_zero:
+        return ensemble[i]
+    a, b = v.roots
+    return make_state(a[0, i] * ensemble[i].amps + b[0, i] * v.comp[0])
+
+
+def _report(ensemble: OrthogonalSet, v: _Verdicts) -> IdentifiabilityReport:
+    band = WARN_BAND_FACTOR * ensemble.tolerances.tau_overlap
+    hidden = v.hidden[0].tolist()
+    verdicts = []
+    for i, target in enumerate(ensemble.states):
+        witness = None if hidden[i] else _witness(ensemble, v, i)
+        ov = abs(witness.overlap(target)) if witness is not None else 0.0
+        near = witness is not None and ov <= band
+        verdicts.append(StateVerdict(i, not hidden[i], witness, ov, near))
+    perfect = _perfect(len(ensemble), int(v.entangled[0]))
+    return IdentifiabilityReport(tuple(verdicts), not any(hidden), perfect)
+
+
+def _ueb_verdict(v: _Verdicts) -> UebVerdict:
+    """UEB conditions for the triple of a stack of one: all members entangled, d product."""
+    d, comp_c = make_state(v.comp[0]), float(v.comp_conc[0])
+    if v.entangled[0] < 3:
         return UebVerdict(False, d, comp_c, reason="NotAllEntangled")
-    if comp_c >= ensemble.tolerances.eps_zero:
+    if not v.ueb_span[0]:
         return UebVerdict(False, d, comp_c, reason="EntangledComplement")
     return UebVerdict(True, d, comp_c)
 
 
-def _member_verdict(ensemble: OrthogonalSet, i: int, d: PureState | None):
-    """conclusively_identifiable for member i, given _triple_complement's d.
-
-    For a triple, {psi_0, psi_1, psi_2, d} is an orthonormal basis, so the
-    states orthogonal to the other two members are exactly the plane
-    span{psi_i, d}.  A witness a*psi_i + b*d leaks onto another member psi_j
-    by at most |<psi_j|psi_i>|, which OrthogonalSet bounds by the set's
-    eps_orth.
-    """
-    tol = ensemble.tolerances
-    target = ensemble[i]
-    if d is None:
-        if len(ensemble) == 2:
-            return True, None
-        return (True, target) if concurrence(target) < tol.eps_zero else (False, None)
-
-    best = None
-    best_overlap = 0.0
-    for cand in product_states_in_2d(Subspace((target, d)), tol.eps_zero).states:
-        ov = abs(cand.overlap(target))
-        if ov > tol.tau_overlap and ov > best_overlap:
-            best, best_overlap = cand, ov
-    return best is not None, best
-
-
-def _report(
-    ensemble: OrthogonalSet, d: PureState | None, entangled: int
-) -> IdentifiabilityReport:
-    tol = ensemble.tolerances
-    verdicts = []
-    for i in range(len(ensemble)):
-        ok, witness = _member_verdict(ensemble, i, d)
-        ov = abs(witness.overlap(ensemble[i])) if witness is not None else 0.0
-        verdicts.append(
-            StateVerdict(
-                index=i,
-                identifiable=ok,
-                witness=witness,
-                witness_overlap=ov,
-                near_threshold=witness is not None
-                and ov <= WARN_BAND_FACTOR * tol.tau_overlap,
-            )
-        )
-    return IdentifiabilityReport(
-        per_state=tuple(verdicts),
-        conclusively_distinguishable=all(v.identifiable for v in verdicts),
-        perfectly_distinguishable=_perfect(len(ensemble), entangled),
-    )
-
-
 def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
-    """Whether member i admits a product witness, and the best such witness.
+    """Whether member i admits a product witness, and the witness that decided it.
 
     Returns (identifiable, witness or None).  Cardinality 2 is decided by
     rule (two orthogonal states are always perfectly distinguishable by
@@ -147,7 +184,9 @@ def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     n = len(ensemble)
     if not 0 <= i < n:
         raise IndexOutOfRange(f"index {i} outside ensemble of size {n}")
-    return _member_verdict(ensemble, i, _triple_complement(ensemble))
+    v = _decide(ensemble._rows[None], ensemble.tolerances)
+    ok = not v.hidden[0, i]
+    return ok, _witness(ensemble, v, i) if ok else None
 
 
 def _perfect(n: int, entangled: int) -> bool:
@@ -169,40 +208,21 @@ def perfectly_distinguishable(ensemble: OrthogonalSet) -> bool:
 
 def identifiability_report(ensemble: OrthogonalSet) -> IdentifiabilityReport:
     """Per-member conclusive-identifiability verdicts with witnesses."""
-    return _report(ensemble, _triple_complement(ensemble), ensemble.entangled_count())
+    return _report(ensemble, _decide(ensemble._rows[None], ensemble.tolerances))
 
 
 def classify(ensemble: OrthogonalSet):
     """Assign the nonlocality-hierarchy label to an orthogonal ensemble.
 
-    Returns (NonlocalityClass, IdentifiabilityReport).  Raises
-    InternalContradiction if a cardinality-3 ensemble comes back with all
-    three members unidentifiable, which theory rules out.  A triple also
-    gets its UebVerdict (`ueb`) and `ueb_span`: whether its complement is
+    Returns (NonlocalityClass, IdentifiabilityReport).  A triple also gets
+    its UebVerdict (`ueb`) and `ueb_span`: whether its complement is
     product, i.e. whether some UEB spans the same subspace.
     """
-    d = _triple_complement(ensemble)
-    ec = ensemble.entangled_count()
-    report = _report(ensemble, d, ec)
-    if len(ensemble) == 4:
-        return NonlocalityClass(HierarchyLabel.COMPLETE_BASIS, entangled_count=ec), report
-
-    bad = sum(1 for v in report.per_state if not v.identifiable)
-    if bad == 3:
-        raise InternalContradiction(
-            "three unidentifiable states in a cardinality-3 set: "
-            "numerical tolerance failure"
-        )
-    if report.perfectly_distinguishable:
-        label = HierarchyLabel.PERFECT_LOCC
-    elif bad == 0:
-        label = HierarchyLabel.CONCLUSIVE_ONLY
-    elif bad == 1:
-        label = HierarchyLabel.ONE_UNIDENTIFIABLE
-    else:
-        label = HierarchyLabel.TWO_UNIDENTIFIABLE
-    if d is None:
-        return NonlocalityClass(label, entangled_count=ec), report
-    ueb = _ueb_verdict(ensemble, d, ec)
-    ueb_span = ueb.complement_concurrence < ensemble.tolerances.eps_zero
-    return NonlocalityClass(label, entangled_count=ec, ueb_span=ueb_span, ueb=ueb), report
+    v, n = _decide(ensemble._rows[None], ensemble.tolerances), len(ensemble)
+    ec = int(v.entangled[0])
+    if n != 3:
+        label = HierarchyLabel.COMPLETE_BASIS if n == 4 else HierarchyLabel.PERFECT_LOCC
+        return NonlocalityClass(label, ec), _report(ensemble, v)
+    label = HierarchyLabel(int(v.labels[0]))
+    cls = NonlocalityClass(label, ec, bool(v.ueb_span[0]), _ueb_verdict(v))
+    return cls, _report(ensemble, v)

@@ -8,13 +8,14 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import BadTolerance, EmptySet, InvalidSet
+from .errors import BadTolerance, InvalidSet
 from .states import (
     EPS_ORTH,
     EPS_ZERO,
     PureState,
+    _concurrences,
+    _entropies,
     concurrence,
-    entanglement_profile,
     make_state,
 )
 
@@ -33,9 +34,23 @@ class Tolerances:
             # NaN, inf and ints past the float range fail the chained comparison
             if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v <= sys.float_info.max:
                 raise BadTolerance(f"{f.name}: must be a positive finite number, got {v!r}")
+        e, t2 = self.eps_zero, self.tau_overlap**2  # no triple then hides all three members
+        if not (t2 * (1.0 + e) < e and (e > 1.0 or 3.0 * t2 <= 4.0 * (1.0 - t2) * (1.0 - e * e))):
+            raise BadTolerance(f"tau_overlap: {self.tau_overlap!r} too large for eps_zero {e!r}")
 
 
 _DEFAULT_TOLERANCES = Tolerances()
+
+
+def _check_orthogonal(amps: np.ndarray, eps_orth: float) -> None:
+    """Raise InvalidSet unless the members of every stack (..., n, 4) overlap by < eps_orth."""
+    i, j = np.triu_indices(amps.shape[-2], 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ov = np.abs(amps.conj() @ amps.mT)[..., i, j]
+    bad = np.argwhere(~(ov < eps_orth))  # not <, so a NaN overlap (non-finite amplitude) fails
+    if len(bad):
+        k, i, j = tuple(bad[0]), i[bad[0][-1]], j[bad[0][-1]]
+        raise InvalidSet(f"states {i} and {j} are not orthogonal or not finite: {ov[k]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,8 @@ class OrthogonalSet:
                         f"states {i} and {j} are not orthogonal or not finite: "
                         f"|<{i}|{j}>| = {ov:.3e}"
                     )
+        # n x 4 amplitudes: the stack of one the kernels read
+        object.__setattr__(self, "_rows", np.array([s.amps for s in self.states]))
 
     def __len__(self):
         return len(self.states)
@@ -86,9 +103,7 @@ class OrthogonalSet:
 
 def average_entanglement(ensemble: OrthogonalSet) -> float:
     """Arithmetic mean of the members' entanglement entropies, in ebits."""
-    if len(ensemble) == 0:
-        raise EmptySet("cannot average over an empty ensemble")
-    return float(np.mean([entanglement_profile(s).entropy for s in ensemble.states]))
+    return float(np.mean(_entropies(_concurrences(ensemble._rows)), axis=-1))
 
 
 def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:

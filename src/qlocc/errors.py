@@ -13,10 +13,6 @@ class NonFiniteNorm(QloccError):
     """Amplitude vector has a NaN or infinite norm and cannot be normalized."""
 
 
-class EmptySet(QloccError):
-    """An operation requiring a nonempty ensemble received an empty one."""
-
-
 class FullSpace(QloccError):
     """The input already spans the whole two-qubit space; no orthocomplement."""
 
@@ -31,14 +27,6 @@ class InvalidSet(QloccError):
 
 class IndexOutOfRange(QloccError):
     """State index outside the ensemble."""
-
-
-class InternalContradiction(QloccError):
-    """A cardinality-3 set produced three unidentifiable states.
-
-    Theory forbids this outcome, so it signals a numerical-tolerance failure
-    rather than a legitimate verdict.
-    """
 
 
 class BadCardinality(QloccError):

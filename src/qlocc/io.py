@@ -106,22 +106,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+_SWEEP_HEADER = "lambda1,lambda3,class,unidentifiable,avg_entanglement,is_ueb\n"
+
+
+def _sweep_row(rec) -> str:
+    lam3 = _fmt(rec["lambda3"]) if rec["lambda3"] is not None else ""
+    bad = ";".join(str(i) for i in rec["unidentifiable"])
+    ueb = "true" if rec["is_ueb"] else "false"
+    avg = _fmt(rec["avg_entanglement"])
+    return f"{_fmt(rec['lambda1'])},{lam3},{rec['class']},{bad},{avg},{ueb}\n"
+
+
 def sweep_csv(records) -> str:
     """Render sweep records with deterministic, byte-stable formatting."""
-    lines = ["lambda1,lambda3,class,unidentifiable,avg_entanglement,is_ueb"]
-    for rec in records:
-        lam3 = _fmt(rec["lambda3"]) if rec["lambda3"] is not None else ""
-        bad = ";".join(str(i) for i in rec["unidentifiable"])
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec["lambda1"]),
-                    lam3,
-                    rec["class"],
-                    bad,
-                    _fmt(rec["avg_entanglement"]),
-                    "true" if rec["is_ueb"] else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _SWEEP_HEADER + "".join(_sweep_row(rec) for rec in records)

@@ -119,25 +119,33 @@ def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS
     return ProjectiveRoots.ROOTS, [(r1, 1), (r2, 1)]
 
 
-def _det3(p, q, r) -> complex:
-    """Determinant of the 3x3 matrix with rows p, q, r."""
-    (a, b, c), (d, e, f), (g, h, i) = p, q, r
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+# cof_r = sum_t sign * member0[row] * minor; minors of members 1, 2 on pairs 01 02 03 12 13 23
+_MINOR_PQ = np.array([0, 0, 0, 1, 1, 2, 1, 2, 3, 2, 3, 3])
+_COF_ROW = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_COF_MINOR = np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]])
+_COF_SIGN = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1], [-1, 1, -1]])
+
+
+def _complements(amps: np.ndarray) -> np.ndarray:
+    """Conjugated cofactor vectors d (N, 4) of triples (N, 3, 4): with B the members as
+    columns, <psi_k|d> = conj(det[psi_k | B]) = 0, and |d| = 1 for orthonormal members."""
+    g = amps[:, 1:].take(_MINOR_PQ, axis=-1)
+    minors = g[:, 0, :6] * g[:, 1, 6:] - g[:, 1, :6] * g[:, 0, 6:]
+    terms = amps[:, 0].take(_COF_ROW, axis=-1) * minors.take(_COF_MINOR, axis=-1)
+    return (terms * _COF_SIGN).sum(axis=-1).conj()
 
 
 def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement of the input's span.
 
-    Three columns b_k leave the conjugated cofactor vector d of B: <b_k|d> is
-    conj(det[b_k | B]) = 0, and |d| = 1 when the columns are orthonormal.
+    Three members leave one state, their conjugated cofactor vector
+    (_complements); fewer take the null space of an SVD.
     """
     b = source.matrix()
     if b.shape[1] >= 4:
         raise FullSpace("input spans the whole two-qubit space")
     if b.shape[1] == 3:
-        r0, r1, r2, r3 = b.tolist()
-        cof = (_det3(r1, r2, r3), -_det3(r0, r2, r3), _det3(r0, r1, r3), -_det3(r0, r1, r2))
-        return Subspace((make_state([c.conjugate() for c in cof]),))
+        return Subspace((make_state(_complements(b.T[None])[0]),))
     _, _, vh = np.linalg.svd(b.conj().T, full_matrices=True)
     comp = vh[b.shape[1]:].conj()
     return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))

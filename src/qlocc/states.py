@@ -69,6 +69,22 @@ def make_state(amplitudes, eps_zero: float = EPS_ZERO) -> PureState:
     return PureState(_canonical_phase(a / norm, eps_zero))
 
 
+def _unit_rows(amps: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray:
+    """make_state over a stack of amplitude rows (..., 4): the same checks, and the same bits
+    (matmul's dot is vdot's, hypot is complex abs, and the phase is the scalar division)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.matmul(amps.conj()[..., None, :], amps[..., :, None]).real[..., 0, 0])
+    if not np.isfinite(norm).all():
+        raise NonFiniteNorm("an amplitude vector norm is not finite")
+    if (norm <= eps_zero).any():
+        raise ZeroVector(f"amplitude vector norm {norm.min():.3g} is numerically zero")
+    a = amps / norm[..., None]
+    first = (np.hypot(a.real, a.imag) > eps_zero).argmax(axis=-1)[..., None]
+    lead = np.take_along_axis(a, first, axis=-1)
+    factor = [abs(z) / z if abs(z) > eps_zero else 1.0 for z in lead.reshape(-1).tolist()]
+    return a * np.array(factor, dtype=np.complex128).reshape(lead.shape)
+
+
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
     """Whether two states coincide up to a global phase."""
     return abs(abs(a.overlap(b)) - 1.0) < tol
@@ -80,6 +96,18 @@ def concurrence(s: PureState) -> float:
     return min(1.0, 2.0 * abs(a * d - b * c))
 
 
+def _dets(amps: np.ndarray) -> np.ndarray:
+    """det M = ad - bc of each row of a stack (..., 4), in concurrence's arithmetic."""
+    dets = [a * d - b * c for a, b, c, d in amps.reshape(-1, 4).tolist()]
+    return np.array(dets, dtype=np.complex128).reshape(amps.shape[:-1])
+
+
+def _concurrences(amps: np.ndarray) -> np.ndarray:
+    """concurrence of each row of a stack (..., 4), bit for bit."""
+    conc = [min(1.0, 2.0 * abs(a * d - b * c)) for a, b, c, d in amps.reshape(-1, 4).tolist()]
+    return np.array(conc).reshape(amps.shape[:-1])
+
+
 @dataclass(frozen=True)
 class EntanglementProfile:
     """Concurrence, Schmidt coefficients, and base-2 entanglement entropy (ebits)."""
@@ -89,11 +117,12 @@ class EntanglementProfile:
     entropy: float
 
 
-def _binary_entropy(p: float) -> float:
-    # 0*log 0 = 0 convention at the endpoints
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def _entropies(conc: np.ndarray) -> np.ndarray:
+    """Base-2 entanglement entropy of states with the given concurrences (any shape)."""
+    p = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))) / 2.0
+    inner = (p > 0.0) & (p < 1.0)  # 0*log 0 = 0 convention at the endpoints
+    p = np.where(inner, p, 0.5)
+    return np.where(inner, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
 def entanglement_profile(s: PureState) -> EntanglementProfile:
@@ -105,7 +134,7 @@ def entanglement_profile(s: PureState) -> EntanglementProfile:
     return EntanglementProfile(
         concurrence=c,
         schmidt_coefficients=(lam_hi, lam_lo),
-        entropy=_binary_entropy(lam_hi),
+        entropy=float(_entropies(np.float64(c))),
     )
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import UebVerdict, _triple_complement, _ueb_verdict
+from .discrimination import UebVerdict, _decide, _ueb_verdict
 from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, Tolerances
 from .errors import BadCardinality, BadParam
-from .states import PureState, concurrence, is_product, make_state
+from .states import PureState, _unit_rows, concurrence, is_product, make_state
 
 # Maximally entangled basis closed under real linear combinations: any real
 # unit combination of these four states has concurrence exactly 1.
@@ -34,10 +34,6 @@ MAGIC_BASIS = np.array(
 
 _CONDITION_LIMIT = 1e6
 
-_KET00 = np.array([1, 0, 0, 0], dtype=np.complex128)
-_KET01 = np.array([0, 1, 0, 0], dtype=np.complex128)
-_KET10 = np.array([0, 0, 1, 0], dtype=np.complex128)
-_KET11 = np.array([0, 0, 0, 1], dtype=np.complex128)
 
 
 class MaximalEntanglementWarning(UserWarning):
@@ -75,6 +71,22 @@ class SpanningVerdict:
     witness_ueb: OrthogonalSet | None
 
 
+def _family_rows(lam1: np.ndarray, lam3: np.ndarray | None = None) -> np.ndarray:
+    """Unit members (N, 3, 4) of eq1 at (lam1, lam3), or of eq2 when lam3 is None."""
+    s1, s2 = np.sqrt(lam1), np.sqrt(1.0 - lam1)
+    rows = np.zeros(np.shape(lam1) + (3, 4), dtype=np.complex128)
+    if lam3 is None:
+        rows[..., 0, 0] = 1.0
+        rows[..., 1, 1], rows[..., 1, 2] = s1, s2
+        rows[..., 2, 1], rows[..., 2, 2] = s2, -s1
+    else:
+        s3, s4 = np.sqrt(lam3), np.sqrt(1.0 - lam3)
+        rows[..., 0, 1], rows[..., 0, 2] = s1, s2
+        rows[..., 1, 0], rows[..., 1, 1], rows[..., 1, 2] = s3, s4 * s2, -(s4 * s1)
+        rows[..., 2, 0], rows[..., 2, 1], rows[..., 2, 2] = s4, -(s3 * s2), s3 * s1
+    return _unit_rows(rows)
+
+
 def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) -> OrthogonalSet:
     """Three orthogonal entangled states whose only orthogonal state is |11>.
 
@@ -84,31 +96,22 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
     """
     if params.lam3 is None:
         raise BadParam("this family needs both lam1 and lam3")
-    l1, l2, l3, l4 = params.lam1, params.lam2, params.lam3, params.lam4
-    psi1 = np.sqrt(l1) * _KET01 + np.sqrt(l2) * _KET10
-    psi1_perp = np.sqrt(l2) * _KET01 - np.sqrt(l1) * _KET10
-    psi2 = np.sqrt(l3) * _KET00 + np.sqrt(l4) * psi1_perp
-    psi3 = np.sqrt(l4) * _KET00 - np.sqrt(l3) * psi1_perp
-    states = tuple(make_state(v) for v in (psi1, psi2, psi3))
-    if abs(concurrence(states[0]) - 1.0) < 1e-9:
+    rows = _family_rows(np.array(params.lam1), np.array(params.lam3))
+    ens = OrthogonalSet(tuple(map(PureState, rows)), tolerances=tolerances or _DEFAULT_TOLERANCES)
+    if abs(concurrence(ens[0]) - 1.0) < 1e-9:
         warnings.warn(
             "lam1 = 1/2 makes the first member maximally entangled; the "
             "family is nominally nonmaximally entangled",
             MaximalEntanglementWarning,
         )
-    return OrthogonalSet(states, tolerances=tolerances or _DEFAULT_TOLERANCES)
+    return ens
 
 
 def generate_eq2(lam1: float, tolerances: Tolerances | None = None) -> OrthogonalSet:
     """The sibling family: |00> plus two entangled states in the |01>,|10> plane."""
     params = GeneratorParams(lam1)  # validates the range
-    l1, l2 = params.lam1, params.lam2
-    states = (
-        make_state(_KET00),
-        make_state(np.sqrt(l1) * _KET01 + np.sqrt(l2) * _KET10),
-        make_state(np.sqrt(l2) * _KET01 - np.sqrt(l1) * _KET10),
-    )
-    return OrthogonalSet(states, tolerances=tolerances or _DEFAULT_TOLERANCES)
+    rows = _family_rows(np.array(params.lam1))
+    return OrthogonalSet(tuple(map(PureState, rows)), tolerances=tolerances or _DEFAULT_TOLERANCES)
 
 
 def _random_orthogonal_matrix(rng: np.random.Generator) -> np.ndarray:
@@ -137,12 +140,11 @@ def ueb_check(ensemble: OrthogonalSet) -> UebVerdict:
 
     classify carries the same verdict for a triple as its `ueb` field.
     """
-    d = _triple_complement(ensemble)
-    if d is None:
+    if len(ensemble) != 3:
         raise BadCardinality(
             f"two-qubit UEBs have cardinality exactly 3, got {len(ensemble)}"
         )
-    return _ueb_verdict(ensemble, d, ensemble.entangled_count())
+    return _ueb_verdict(_decide(ensemble._rows[None], ensemble.tolerances))
 
 
 def _unitary_sending_one_to(factor: np.ndarray) -> np.ndarray:

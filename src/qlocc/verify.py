@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bruteforce import GridSpec, oracle_identifiable
-from .discrimination import HierarchyLabel, classify, conclusively_identifiable
-from .ensembles import OrthogonalSet, average_entanglement, random_orthogonal_set
-from .errors import InternalContradiction
+from .discrimination import HierarchyLabel, _decide, classify, conclusively_identifiable
+from .ensembles import OrthogonalSet, Tolerances, average_entanglement, random_orthogonal_set
 from .products import Subspace, orthocomplement, product_states_in_2d
 from .states import concurrence, make_state
 from .ueb import (
@@ -121,13 +120,10 @@ def suite_prop3(values: np.ndarray | None = None) -> SuiteResult:
 def suite_impossibility(count: int = 10000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """No orthogonal triple ever has all three members unidentifiable."""
     res = SuiteResult("impossibility-no-triple-fully-hidden", count, 0)
-    for k in range(count):
-        ens = random_orthogonal_set(seed + k, size=3)
-        try:
-            classify(ens)
-        except InternalContradiction:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}")
+    amps = np.array([random_orthogonal_set(seed + k, size=3)._rows for k in range(count)])
+    for k in np.flatnonzero(_decide(amps, Tolerances()).hidden.all(axis=1)):
+        res.failures += 1
+        res.notes.append(f"seed {seed + k}")
     return res
 
 

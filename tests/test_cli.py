@@ -1,9 +1,17 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qlocc import average_entanglement, classify
 from qlocc.cli import main
+from qlocc.io import sweep_csv
+from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
 
 def run(*args):
@@ -146,6 +154,46 @@ def test_sweep_joined_entanglement_columns(tmp_path):
     for line in csv1.read_text().splitlines()[1:]:
         cols = line.split(",")
         assert float(cols[4]) < avg2[cols[0]]
+
+
+@pytest.mark.parametrize(
+    "family, grid", [("eq1", "0.05:0.95:19"), ("eq1", "0.001:0.999:23"), ("eq2", "0.001:0.999:400")]
+)
+def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
+    """The batched sweep writes the bytes of a per-point loop over classify."""
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", family, "--grid", grid, "--out", str(out)).exit_code == 0
+    lo, hi, steps = grid.split(":")
+    values = [float(x) for x in np.linspace(float(lo), float(hi), int(steps))]
+    points = [(l1, l3) for l1 in values for l3 in values] if family == "eq1" else [
+        (l1, None) for l1 in values
+    ]
+    records = []
+    for l1, l3 in points:
+        ens = generate_eq1(GeneratorParams(l1, l3)) if l3 is not None else generate_eq2(l1)
+        cls, report = classify(ens)
+        records.append({
+            "lambda1": l1,
+            "lambda3": l3,
+            "class": cls.describe(),
+            "unidentifiable": [v.index for v in report.per_state if not v.identifiable],
+            "avg_entanglement": average_entanglement(ens),
+            "is_ueb": cls.ueb.is_ueb,
+        })
+    assert out.read_text() == sweep_csv(records)
+
+
+def test_in_process_run_releases_stdout(tmp_path):
+    """An in-process run leaves no reference to the stdout it wrote to."""
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    with contextlib.redirect_stdout(buf):
+        main.main(["sweep", "eq2", "--grid", "0.1:0.9:3", "--out", str(tmp_path / "s.csv")],
+                  standalone_mode=False)
+    assert "3 grid points" in buf.getvalue()
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_sweep_bad_bounds(tmp_path):

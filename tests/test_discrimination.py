@@ -1,6 +1,7 @@
 import itertools
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -264,17 +265,18 @@ def _haar_family_bell_triples(bell_triple, haar=20):
 
 
 def _count_complements(monkeypatch):
-    """Count orthocomplement calls under every qlocc module that binds it."""
+    """Record the number of triple complements each call of the stacked complement
+    kernel computes, under every qlocc module that binds it."""
     calls = []
-    original = qlocc.products.orthocomplement
+    original = qlocc.products._complements
 
-    def counting(source):
-        calls.append(source)
-        return original(source)
+    def counting(amps):
+        calls.append(len(amps))
+        return original(amps)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qlocc" and getattr(module, "orthocomplement", None) is original:
-            monkeypatch.setattr(module, "orthocomplement", counting)
+        if name.split(".")[0] == "qlocc" and getattr(module, "_complements", None) is original:
+            monkeypatch.setattr(module, "_complements", counting)
     return calls
 
 
@@ -292,7 +294,7 @@ class TestOneComplementPerTriple:
         for ens in (random_orthogonal_set(5, size=3), generate_eq2(0.2)):
             calls.clear()
             cls, _ = classify(ens)
-            assert len(calls) == 1
+            assert sum(calls) == 1
             assert cls.ueb_span is not None
 
         calls.clear()
@@ -300,7 +302,7 @@ class TestOneComplementPerTriple:
         doc.write_text(emit_document(random_max_entangled_triple(7)))
         res = CliRunner().invoke(main, ["classify", str(doc), "--json", "-"])
         assert res.exit_code == 0, res.output
-        assert len(calls) == 1
+        assert sum(calls) == 1
         for family, points in (("eq1", 9), ("eq2", 3)):
             calls.clear()
             out = tmp_path / f"{family}.csv"
@@ -308,7 +310,7 @@ class TestOneComplementPerTriple:
                 main, ["sweep", family, "--grid", "0.1:0.9:3", "--out", str(out)]
             )
             assert res.exit_code == 0, res.output
-            assert len(calls) == points
+            assert sum(calls) == points
 
     def test_classify_carries_ueb_check_verdict(self, bell_triple, bell_basis):
         cases = _haar_family_bell_triples(bell_triple)
@@ -360,3 +362,85 @@ class TestOneComplementPerTriple:
                 assert [v.identifiable for v in report_p.per_state] == [
                     verdicts[p] for p in perm
                 ]
+
+
+EPS_ZERO, TAU = Tolerances().eps_zero, Tolerances().tau_overlap
+BAND = (0.5, 1 - 1e-4, 1 + 1e-4, 2.0)  # multiples of the threshold a crafted margin sits at
+
+
+def _band_triple(d, e, lam1=0.3, lam3=0.4, tilt=0.0):
+    """Orthonormal members of the complement of unit d: psi_0 = cos(tilt) phi +
+    sin(tilt) e, with phi = sqrt(lam1)|01> + sqrt(lam2)|10> and e the unit state
+    of d's plane orthogonal to d, and two mixes of psi_0's partner in span{phi, e}
+    with phi's partner."""
+    phi = np.array([0, np.sqrt(lam1), np.sqrt(1 - lam1), 0])
+    phi_perp = np.array([0, np.sqrt(1 - lam1), -np.sqrt(lam1), 0])
+    psi0 = np.cos(tilt) * phi + np.sin(tilt) * e
+    g = -np.sin(tilt) * phi + np.cos(tilt) * e
+    psi1 = np.sqrt(lam3) * g + np.sqrt(1 - lam3) * phi_perp
+    psi2 = np.sqrt(1 - lam3) * g - np.sqrt(lam3) * phi_perp
+    return np.array([psi0, psi1, psi2]), d
+
+
+def _complement_band(f):
+    """C(d) = f * eps_zero; member 0 has c_0 = 0, so it is hidden exactly when d
+    counts as product (f < 1)."""
+    t = 0.5 * np.arcsin(f * EPS_ZERO)
+    d = np.array([np.sin(t), 0, 0, np.cos(t)])
+    return _band_triple(d, np.array([np.cos(t), 0, 0, -np.sin(t)]))
+
+
+def _overlap_band(f, lam1=0.3):
+    """d = |11>; member 0's root besides d has target overlap f * tau_overlap."""
+    r = np.sqrt(lam1 * (1 - lam1))
+    x = f * TAU * r / np.sqrt(1 - (f * TAU) ** 2)  # sin(tilt), with cos(tilt)^2 = 1 - 1e-14
+    return _band_triple(np.array([0, 0, 0, 1.0]), np.array([1.0, 0, 0, 0]), lam1, tilt=np.arcsin(x))
+
+
+def _rule_overlap(psi, d):
+    """The best root overlap the module rule assigns, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        p = [mpmath.mpc(complex(x)) for x in psi]
+        q = [mpmath.mpc(complex(x)) for x in d]
+        det_p, det_d = p[0] * p[3] - p[1] * p[2], q[0] * q[3] - q[1] * q[2]
+        c = p[0] * q[3] + p[3] * q[0] - p[1] * q[2] - p[2] * q[1]
+        if 2 * abs(det_p) < EPS_ZERO:
+            return 1.0
+        if 2 * abs(det_d) < EPS_ZERO:
+            return float(abs(c) / mpmath.sqrt(abs(c) ** 2 + abs(det_p) ** 2))
+        x = max(abs(r) for r in mpmath.polyroots([det_p, c, det_d], maxsteps=200))
+        return float(x / mpmath.sqrt(1 + x**2))
+
+
+def _local_rotations(seed, count=4):
+    rng = np.random.default_rng(seed)
+    out = [np.eye(4)]
+    for _ in range(count):
+        g = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        ua, ub = (np.linalg.qr(m)[0] for m in g)
+        out.append(np.exp(2j * np.pi * rng.uniform()) * np.kron(ua, ub))
+    return out
+
+
+class TestToleranceBand:
+    @pytest.mark.parametrize("f", BAND)
+    @pytest.mark.parametrize("make", [_complement_band, _overlap_band], ids=["C(d)", "overlap"])
+    def test_verdicts_and_witnesses_at_the_thresholds(self, make, f):
+        members, d = make(f)
+        for k, u in enumerate(_local_rotations(int(1e6 * f))):
+            perm = list(itertools.permutations(range(3)))[k % 6]
+            ens = OrthogonalSet(tuple(make_state(u @ members[p]) for p in perm))
+            cls, report = classify(ens)
+            comp = orthocomplement(ens).basis[0].amps
+            assert cls.ueb_span == (2 * abs(comp[0] * comp[3] - comp[1] * comp[2]) < EPS_ZERO)
+            for v in report.per_state:
+                if v.identifiable:
+                    assert v.witness_overlap > TAU
+                    assert concurrence(v.witness) < EPS_ZERO
+                    for j, s in enumerate(ens.states):
+                        if j != v.index:
+                            assert abs(v.witness.overlap(s)) < ens.tolerances.eps_orth
+                else:
+                    assert _rule_overlap(ens[v.index].amps, comp) <= TAU
+            hidden = [not v.identifiable for v in report.per_state]
+            assert hidden[perm.index(0)] == (f < 1)

@@ -35,9 +35,26 @@ class TestTolerances:
             Tolerances(**{key: value})
         assert isinstance(info.value, QloccError) and isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize("value", [1, 1e-6, np.float64(1e-12), sys.float_info.max])
+    @pytest.mark.parametrize("value", [2, 1e-6, np.float64(1e-12), sys.float_info.max])
     def test_positive_finite_value_accepted(self, value):
         assert Tolerances(eps_zero=value).eps_zero == value
+
+    @pytest.mark.parametrize(
+        "eps_zero, tau",
+        [(1e-9, 3.2e-5), (1e-12, 1e-6), (0.9999999999, 1e-4), (1, 1e-7), (1.0, 0.75),
+         (0.5, 0.9)],
+    )
+    def test_tau_too_large_for_eps_zero_rejected(self, eps_zero, tau):
+        # a bound of the no-three-hidden-members proof fails; at eps_zero = 1 a
+        # complement concurrence rounding below 1 hides all three members
+        with pytest.raises(BadTolerance, match="tau_overlap"):
+            Tolerances(eps_zero=eps_zero, tau_overlap=tau)
+
+    @pytest.mark.parametrize(
+        "eps_zero, tau", [(1e-9, 3e-5), (1e-12, 9e-7), (0.5, 0.4), (1.5, 0.7), (2.0, 0.8)]
+    )
+    def test_tau_within_bound_accepted(self, eps_zero, tau):
+        assert Tolerances(eps_zero=eps_zero, tau_overlap=tau).tau_overlap == tau
 
     def test_default_is_shared(self):
         sets = [

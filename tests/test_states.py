@@ -11,9 +11,11 @@ from qlocc import (
     is_product,
     make_state,
     product_state,
+    random_orthogonal_set,
     states_equal_up_to_phase,
 )
 from qlocc.errors import NonFiniteNorm, ZeroVector
+from qlocc.states import _concurrences, _dets, _entropies, _unit_rows
 
 from conftest import SQ2, random_states
 
@@ -105,6 +107,68 @@ class TestConcurrence:
     def test_closed_form_matches_numpy_det(self):
         for s in random_states(1000, seed=13):
             assert abs(concurrence(s) - 2.0 * abs(np.linalg.det(s.matrix))) <= 1e-15
+
+
+def _mixed_rows(seed, n=2000):
+    """Complex rows at several scales, plus rows whose leading amplitudes sit
+    below eps_zero or are real, negative or purely imaginary."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    rows *= 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+    rows[: n // 8, 0] = 1e-10 * rows[: n // 8, 1]
+    rows[n // 8 : n // 4, 0] = -rng.uniform(size=n // 8)
+    rows[n // 4 : 3 * n // 8, 0] = 1j * rng.uniform(size=n // 8)
+    return rows
+
+
+class TestStackedKernelsBitIdentical:
+    """The stacked kernels repeat the scalar arithmetic exactly, so sweep CSVs
+    (12 significant digits) match the per-point path byte for byte."""
+
+    def test_unit_rows_is_make_state(self):
+        rows = _mixed_rows(21)
+        stacked = _unit_rows(rows.reshape(-1, 2, 4)).reshape(-1, 4)
+        for row, got in zip(rows, stacked):
+            np.testing.assert_array_equal(got, make_state(row).amps)
+
+    @pytest.mark.parametrize(
+        "amps, error",
+        [([0, 0, 0, 0], ZeroVector), ([0, np.nan, 1, 0], NonFiniteNorm),
+         ([0, 0, 1e308, 1e308], NonFiniteNorm)],
+        ids=["zero", "nan", "overflow"],
+    )
+    def test_unit_rows_checks(self, amps, error):
+        rows = np.array([[1, 0, 0, 0], amps], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                _unit_rows(rows)
+
+    def test_concurrences_and_dets(self):
+        states = random_states(3000, seed=22) + [make_state(r) for r in _mixed_rows(23, 800)]
+        amps = np.array([s.amps for s in states]).reshape(-1, 2, 4)
+        conc = _concurrences(amps).reshape(-1)
+        dets = _dets(amps).reshape(-1)
+        for s, c, d in zip(states, conc, dets):
+            assert c == concurrence(s)
+            assert c == min(1.0, 2.0 * abs(complex(d)))
+
+    def test_entropies_and_average(self):
+        def scalar_entropy(c):
+            # the per-state formula the stacked kernel replaced
+            p = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+            if p >= 1.0:
+                return 0.0
+            return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+        states = random_states(3000, seed=24) + [make_state([0, 1, 0, 0]), make_state([1, 0, 0, 1])]
+        conc = [concurrence(s) for s in states]
+        for s, c, h in zip(states, conc, _entropies(np.array(conc))):
+            assert h == scalar_entropy(c) == entanglement_profile(s).entropy
+        for k in range(300):
+            ens = random_orthogonal_set(25_000 + k, size=2 + k % 3)
+            ref = float(np.mean([scalar_entropy(concurrence(s)) for s in ens.states]))
+            assert average_entanglement(ens) == ref
 
 
 class TestCoefficientMatrix:
