@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ensembles import OrthogonalSet
 from .errors import BadCardinality, BadDimension, BadGrid, ResolutionTooCoarse
@@ -149,6 +148,8 @@ def _polish(conj_mats, i, others, angles, grid):
     the grid threshold, at least one direction) with the largest target
     overlap: where the stack vanishes it is the normalized conj(a M_i^*).
     """
+    from scipy.optimize import least_squares
+
     mj, mk = conj_mats[others[0]], conj_mats[others[1]]
 
     def det_and_grad(x):
@@ -268,6 +269,8 @@ def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductS
     subspace where |det| is negligible everywhere is flagged AllProduct-
     suspect instead of enumerated.
     """
+    from scipy.optimize import least_squares
+
     if sub.dim != 2:
         raise BadDimension(f"expected dim 2, got {sub.dim}")
     grid = grid or GridSpec()

@@ -43,6 +43,14 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
+def _open_out(path: str, **kwargs):
+    """Open an output file for writing; a path that cannot be written is an input error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        _fail_input(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _classification_payload(ensemble, labels):
     cls, report = classify(ensemble)
     payload = {
@@ -124,7 +132,7 @@ def cmd_classify(document, json_out):
     if json_out == "-":
         _echo(json.dumps(payload, indent=2))
     elif json_out:
-        with open(json_out, "w") as fh:
+        with _open_out(json_out) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -180,7 +188,7 @@ def cmd_sweep(family, grid, grid_l3, out):
     except BadBounds as exc:
         _fail_input(str(exc))
     classes, points = set(), 0
-    with open(out, "w", newline="") as fh:
+    with _open_out(out, newline="") as fh:
         fh.write(_SWEEP_HEADER)
         for rec in _sweep_records(lam1s, lam3s if family == "eq1" else None):
             fh.write(_sweep_row(rec))
@@ -225,7 +233,7 @@ def cmd_demo_trit(lam1, lam3):
 @click.argument("family", type=click.Choice(["eq1", "eq2", "bell-triple", "random-met"]))
 @click.option("--lam1", type=float, default=0.3, show_default=True)
 @click.option("--lam3", type=float, default=0.4, show_default=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the document here instead of stdout.")
 def cmd_generate(family, lam1, lam3, seed, out):
@@ -253,7 +261,7 @@ def cmd_generate(family, lam1, lam3, seed, out):
         _fail_input(str(exc))
     text = emit_document(ens, labels)
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         _echo(text, nl=False)
@@ -262,9 +270,9 @@ def cmd_generate(family, lam1, lam3, seed, out):
 @main.command("verify")
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(sorted(SUITES)), help="Run only these suites.")
-@click.option("--count", type=int, default=None,
+@click.option("--count", type=click.IntRange(min=1), default=None,
               help="Override the instance count for counted suites.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 def cmd_verify(suites, count, seed):
     """Run the property suites; nonzero exit on any violation."""
     names = list(suites) if suites else sorted(SUITES)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qlocc
 from qlocc import (
     GridSpec,
     OrthogonalSet,
@@ -130,3 +136,46 @@ class TestOracleProductScan:
     def test_saturated_detection(self):
         sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 1, 0, 0])))
         assert oracle_product_scan(sub, GRID).all_product_suspect
+
+
+# Runs in a fresh interpreter: the test process has long since imported scipy.
+_COLD_START = """
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+import qlocc
+import qlocc.cli
+
+tmp = Path(sys.argv[1])
+doc = str(tmp / "eq1.json")
+for args in (
+    ["generate", "eq1", "--out", doc],
+    ["classify", doc, "--json", str(tmp / "report.json")],
+    ["sweep", "eq1", "--grid", "0.1:0.9:3", "--out", str(tmp / "sweep.csv")],
+    ["demo-trit", "--lam1", "0.3", "--lam3", "0.4"],
+    ["verify", "--suite", "prop1", "--count", "5"],
+):
+    res = CliRunner().invoke(qlocc.cli.main, args)
+    assert res.exit_code == 0, (args, res.output)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+triple = qlocc.OrthogonalSet(
+    tuple(qlocc.make_state(a) for a in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0)))
+)
+grid = qlocc.GridSpec(resolution=32)
+assert qlocc.oracle_identifiable(triple, 0, grid).identifiable
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_with_the_oracle(tmp_path):
+    src = str(Path(qlocc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

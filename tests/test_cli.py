@@ -249,3 +249,25 @@ def test_verify_counted_suite():
     res = run("verify", "--suite", "prop1", "--count", "25")
     assert res.exit_code == 0, res.output
     assert "25/25" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "impossibility", "--count", "0"],
+        ["verify", "--suite", "prop1", "--count", "-3"],
+        ["verify", "--suite", "prop1", "--seed", "-5"],
+        ["generate", "random-met", "--seed", "-1"],
+        ["generate", "eq1", "--out", "{missing}/x.json"],
+        ["sweep", "eq1", "--grid", "0.1:0.9:3", "--out", "{missing}/x.csv"],
+        ["classify", "{doc}", "--json", "{missing}/x.json"],
+    ],
+)
+def test_bad_count_seed_or_unwritable_output_exits_2(tmp_path, args):
+    doc = tmp_path / "bell3.json"
+    run("generate", "bell-triple", "--out", str(doc))
+    args = [a.format(missing=tmp_path / "missing", doc=doc) for a in args]
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    if "missing" in args[-1]:
+        assert f"error: cannot write {args[-1]}" in res.output
