@@ -7,7 +7,6 @@ from .discrimination import (
     NonlocalityClass,
     classify,
     conclusively_identifiable,
-    identifiability_report,
     perfectly_distinguishable,
 )
 from .ensembles import OrthogonalSet, Tolerances, average_entanglement, random_orthogonal_set

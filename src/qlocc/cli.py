@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 property violation, 2 input error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import warnings
@@ -128,11 +129,13 @@ def cmd_classify(document, json_out):
         payload = _classification_payload(parsed.ensemble, parsed.labels)
     except QloccError as exc:
         _fail_input(str(exc))
-    _print_human(payload)
-    if json_out == "-":
-        _echo(json.dumps(payload, indent=2))
-    elif json_out:
-        with _open_out(json_out) as fh:
+    # the JSON file opens before anything prints: an unwritable path prints nothing
+    to_file = bool(json_out) and json_out != "-"
+    with _open_out(json_out) if to_file else contextlib.nullcontext() as fh:
+        _print_human(payload)
+        if json_out == "-":
+            _echo(json.dumps(payload, indent=2))
+        elif to_file:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 

@@ -30,6 +30,13 @@ tau^2)); three contradict the condition below eps_zero = 1; above 1 none is
 entangled.
 At exactly 1, a complement concurrence rounding below 1 defeats the argument
 (so 1 is left out).  The defaults meet both bounds by five orders of magnitude.
+
+Each rule is written once.  _decide holds the witness rule and the UEB rule (all
+three members entangled, d product); every entry point and the sweep read its
+_Verdicts.  It counts a member entangled when C >= eps_zero on the concurrences
+of states._concurrences, as OrthogonalSet.entangled_count does.  _PERFECT_MAX holds
+the perfect-LOCC rule, read by the triple label, the report and
+perfectly_distinguishable.
 """
 
 from __future__ import annotations
@@ -111,6 +118,10 @@ class _Verdicts(NamedTuple):
     roots: tuple | None = None  # (a, b), each (N, 3): the deciding root a psi_i + b d
 
 
+# The most entangled members a perfectly LOCC-distinguishable set of n members has: two
+# orthogonal states always are, a triple when at most one is entangled, a basis when none is.
+_PERFECT_MAX = {2: 2, 3: 1, 4: 0}
+
 # c_i = psi_i . (d3, -d2, -d1, d0) = psi0 d3 + psi3 d0 - psi1 d2 - psi2 d1
 _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -136,7 +147,7 @@ def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
     a = np.where(ent, np.where(span[:, None], -c1, q), 1.0)
     b = np.where(ent, det, 0.0)
     hidden = ~(np.abs(a) / np.hypot(np.abs(a), np.abs(b)) > tol.tau_overlap)  # the overlap
-    labels = np.where(entangled <= 1, 0, 1 + hidden.sum(1))  # PERFECT_LOCC, or 1 + hidden
+    labels = np.where(entangled <= _PERFECT_MAX[3], 0, 1 + hidden.sum(1))  # 0: PERFECT_LOCC
     ueb = span & (entangled == 3)
     return _Verdicts(conc, entangled, hidden, labels, d, comp_conc, span, ueb, (a, b))
 
@@ -160,18 +171,17 @@ def _report(ensemble: OrthogonalSet, v: _Verdicts) -> IdentifiabilityReport:
         ov = abs(witness.overlap(target)) if witness is not None else 0.0
         near = witness is not None and ov <= band
         verdicts.append(StateVerdict(i, not hidden[i], witness, ov, near))
-    perfect = _perfect(len(ensemble), int(v.entangled[0]))
+    perfect = int(v.entangled[0]) <= _PERFECT_MAX[len(ensemble)]
     return IdentifiabilityReport(tuple(verdicts), not any(hidden), perfect)
 
 
 def _ueb_verdict(v: _Verdicts) -> UebVerdict:
-    """UEB conditions for the triple of a stack of one: all members entangled, d product."""
+    """The UEB verdict (_Verdicts.ueb) on the triple of a stack of one, and why it fails."""
     d, comp_c = make_state(v.comp[0]), float(v.comp_conc[0])
-    if v.entangled[0] < 3:
-        return UebVerdict(False, d, comp_c, reason="NotAllEntangled")
-    if not v.ueb_span[0]:
-        return UebVerdict(False, d, comp_c, reason="EntangledComplement")
-    return UebVerdict(True, d, comp_c)
+    if v.ueb[0]:
+        return UebVerdict(True, d, comp_c)
+    reason = "NotAllEntangled" if v.entangled[0] < 3 else "EntangledComplement"
+    return UebVerdict(False, d, comp_c, reason=reason)
 
 
 def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
@@ -189,26 +199,9 @@ def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     return ok, _witness(ensemble, v, i) if ok else None
 
 
-def _perfect(n: int, entangled: int) -> bool:
-    if n == 2:
-        return True
-    if n == 3:
-        return entangled <= 1
-    return entangled == 0
-
-
 def perfectly_distinguishable(ensemble: OrthogonalSet) -> bool:
-    """Rule-based perfect LOCC distinguishability.
-
-    Two orthogonal states: always.  Three: exactly when at most one member is
-    entangled.  A complete basis: exactly when every member is product.
-    """
-    return _perfect(len(ensemble), ensemble.entangled_count())
-
-
-def identifiability_report(ensemble: OrthogonalSet) -> IdentifiabilityReport:
-    """Per-member conclusive-identifiability verdicts with witnesses."""
-    return _report(ensemble, _decide(ensemble._rows[None], ensemble.tolerances))
+    """Rule-based perfect LOCC distinguishability: at most _PERFECT_MAX[n] entangled members."""
+    return ensemble.entangled_count() <= _PERFECT_MAX[len(ensemble)]
 
 
 def classify(ensemble: OrthogonalSet):

@@ -15,7 +15,6 @@ from .states import (
     PureState,
     _concurrences,
     _entropies,
-    concurrence,
     make_state,
 )
 
@@ -91,9 +90,8 @@ class OrthogonalSet:
         return np.column_stack([s.amps for s in self.states])
 
     def entangled_count(self) -> int:
-        """Number of members with concurrence above the zero tolerance."""
-        eps = self.tolerances.eps_zero
-        return sum(1 for s in self.states if concurrence(s) >= eps)
+        """Number of members with concurrence >= eps_zero, counted as _decide counts them."""
+        return int(np.count_nonzero(_concurrences(self._rows) >= self.tolerances.eps_zero))
 
     def span_projector(self) -> np.ndarray:
         """Orthogonal projector onto the span of the members."""

@@ -73,23 +73,18 @@ class ProductStateEnumeration:
     multiplicities: tuple[int, ...] = ()
 
 
-class ProjectiveRoots(Enum):
-    IDENTICALLY_ZERO = "identically_zero"
-    ROOTS = "roots"
-
-
 def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS_ZERO):
     """Projective roots of c2*a^2 + c1*a*b + c0*b^2 on the complex line.
 
-    Returns (kind, roots) where roots is a list of ((a, b), multiplicity)
-    with the representative scaled so max(|a|, |b|) = 1.  kind is
-    IDENTICALLY_ZERO when every coefficient is negligible in concurrence
-    units (2|c| < eps_zero), the threshold is_product applies to 2|det M|,
-    so both basis states of an identically-zero determinant plane factor.
+    Returns a list of ((a, b), multiplicity) with the representative scaled
+    so max(|a|, |b|) = 1.  The list is empty exactly when the quadratic is
+    identically zero: every coefficient is negligible in concurrence units
+    (2|c| < eps_zero), the threshold is_product applies to 2|det M|, so both
+    basis states of an identically-zero determinant plane factor.
     """
     scale = max(abs(c2), abs(c1), abs(c0))
     if 2.0 * scale < eps_zero:
-        return ProjectiveRoots.IDENTICALLY_ZERO, []
+        return []
 
     def norm_root(a, b):
         m = max(abs(a), abs(b))
@@ -99,13 +94,12 @@ def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS
         # c1*a*b + c0*b^2 = b*(c1*a + c0*b)
         if abs(c1) < eps_zero * scale:
             # c0*b^2: double root at b = 0
-            return ProjectiveRoots.ROOTS, [((1.0 + 0j, 0j), 2)]
-        roots = [((1.0 + 0j, 0j), 1), (norm_root(-c0, c1), 1)]
-        return ProjectiveRoots.ROOTS, roots
+            return [((1.0 + 0j, 0j), 2)]
+        return [((1.0 + 0j, 0j), 1), (norm_root(-c0, c1), 1)]
 
     disc = complex(c1 * c1 - 4.0 * c2 * c0)
     if abs(disc) < EPS_DISC * scale * scale:
-        return ProjectiveRoots.ROOTS, [(norm_root(-c1, 2.0 * c2), 2)]
+        return [(norm_root(-c1, 2.0 * c2), 2)]
 
     sq = np.sqrt(disc)
     # pick the sign that avoids cancellation in -c1 -+ sq
@@ -116,7 +110,7 @@ def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS
     # roots of c2 x^2 + c1 x + c0 in x = a/b: q/c2 and c0/q
     r1 = norm_root(q, c2)
     r2 = norm_root(c0, q) if abs(q) > 0 else (0j, 1.0 + 0j)
-    return ProjectiveRoots.ROOTS, [(r1, 1), (r2, 1)]
+    return [(r1, 1), (r2, 1)]
 
 
 # cof_r = sum_t sign * member0[row] * minor; minors of members 1, 2 on pairs 01 02 03 12 13 23
@@ -166,21 +160,14 @@ def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductSt
     det_u = au * du - bu * cu
     det_v = av * dv - bv * cv
     cross = au * dv + du * av - bu * cv - cu * bv
-    kind, roots = quadratic_roots(det_u, cross, det_v, eps_zero)
+    roots = quadratic_roots(det_u, cross, det_v, eps_zero)
 
-    if kind is ProjectiveRoots.IDENTICALLY_ZERO:
+    if not roots:  # the quadratic vanishes identically
         return ProductStateEnumeration(
-            kind=EnumerationKind.ALL_PRODUCT,
-            states=(u, v, make_state(u.amps + v.amps)),
+            EnumerationKind.ALL_PRODUCT, (u, v, make_state(u.amps + v.amps))
         )
-
-    states = []
-    mults = []
+    states, mults = [], []
     for (a, b), mult in roots:
         states.append(make_state(a * u.amps + b * v.amps))
         mults.append(mult)
-    return ProductStateEnumeration(
-        kind=EnumerationKind.FINITE,
-        states=tuple(states),
-        multiplicities=tuple(mults),
-    )
+    return ProductStateEnumeration(EnumerationKind.FINITE, tuple(states), tuple(mults))

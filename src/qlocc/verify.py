@@ -24,6 +24,8 @@ from .ueb import (
 )
 
 DEFAULT_SEED = 20240901
+_FAMILY_GRID = np.linspace(0.05, 0.95, 19)  # lam1 (and lam3) values of the family suites
+_ORACLE_GRID = GridSpec(resolution=32)
 
 
 @dataclass
@@ -81,10 +83,9 @@ def suite_prop1(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     return res
 
 
-def suite_prop2(grid: np.ndarray | None = None) -> SuiteResult:
+def suite_prop2() -> SuiteResult:
     """The all-entangled family: one unidentifiable member, and a UEB."""
-    values = grid if grid is not None else np.linspace(0.05, 0.95, 19)
-    points = [(l1, l3) for l1 in values for l3 in values]
+    points = [(l1, l3) for l1 in _FAMILY_GRID for l3 in _FAMILY_GRID]
     res = SuiteResult("prop2-entangled-family-grid", len(points), 0)
     for l1, l3 in points:
         ens = generate_eq1(GeneratorParams(float(l1), float(l3)))
@@ -100,12 +101,11 @@ def suite_prop2(grid: np.ndarray | None = None) -> SuiteResult:
     return res
 
 
-def suite_prop3(values: np.ndarray | None = None) -> SuiteResult:
+def suite_prop3() -> SuiteResult:
     """The one-product family: both entangled members unidentifiable."""
-    values = values if values is not None else np.linspace(0.05, 0.95, 19)
-    res = SuiteResult("prop3-one-product-family", len(values), 0)
+    res = SuiteResult("prop3-one-product-family", len(_FAMILY_GRID), 0)
     ket00 = make_state([1, 0, 0, 0])
-    for l1 in values:
+    for l1 in _FAMILY_GRID:
         ens = generate_eq2(float(l1))
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
@@ -188,37 +188,29 @@ def suite_footnote2(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     return res
 
 
-def suite_oracle_agreement(
-    count: int = 500,
-    seed: int = DEFAULT_SEED,
-    grid: GridSpec | None = None,
-    include_family_grids: bool = True,
-) -> SuiteResult:
+def suite_oracle_agreement(count: int = 500, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Analytic and grid-search identifiability verdicts must coincide."""
-    grid = grid or GridSpec(resolution=32)
     cases: list[tuple[str, OrthogonalSet]] = [
         (f"random-{k}", random_orthogonal_set(seed + k, size=3)) for k in range(count)
     ]
-    if include_family_grids:
-        values = np.linspace(0.05, 0.95, 19)
-        cases += [
-            (f"eq1-{l1:.2f}-{l3:.2f}", generate_eq1(GeneratorParams(float(l1), float(l3))))
-            for l1 in values
-            for l3 in values
-        ]
-        cases += [(f"eq2-{l1:.2f}", generate_eq2(float(l1))) for l1 in values]
+    cases += [
+        (f"eq1-{l1:.2f}-{l3:.2f}", generate_eq1(GeneratorParams(float(l1), float(l3))))
+        for l1 in _FAMILY_GRID
+        for l3 in _FAMILY_GRID
+    ]
+    cases += [(f"eq2-{l1:.2f}", generate_eq2(float(l1))) for l1 in _FAMILY_GRID]
     res = SuiteResult("oracle-agreement", 3 * len(cases), 0)
     for name, ens in cases:
         for i in range(3):
             analytic, _ = conclusively_identifiable(ens, i)
-            numeric = oracle_identifiable(ens, i, grid).identifiable
+            numeric = oracle_identifiable(ens, i, _ORACLE_GRID).identifiable
             if analytic != numeric:
                 res.failures += 1
                 res.notes.append(f"{name} i={i}: analytic={analytic} oracle={numeric}")
     return res
 
 
-def suite_hierarchy(values: np.ndarray | None = None, seed: int = DEFAULT_SEED) -> SuiteResult:
+def suite_hierarchy(seed: int = DEFAULT_SEED) -> SuiteResult:
     """More nonlocality with less entanglement along the hierarchy.
 
     Maximally entangled triples (average entanglement 1, all identifiable)
@@ -228,16 +220,15 @@ def suite_hierarchy(values: np.ndarray | None = None, seed: int = DEFAULT_SEED) 
     parametric families, so the entangled-member count carries the "less
     entanglement" step there.
     """
-    values = values if values is not None else np.linspace(0.05, 0.95, 19)
     res = SuiteResult("hierarchy-more-nonlocality-less-entanglement", 0, 0)
     met = random_max_entangled_triple(seed)
     cls_met, _ = classify(met)
     avg_met = average_entanglement(met)
-    for l1 in values:
+    for l1 in _FAMILY_GRID:
         l1 = float(l1)
         ens2 = generate_eq2(l1)
         cls2, _ = classify(ens2)
-        for l3 in values:
+        for l3 in _FAMILY_GRID:
             ens1 = generate_eq1(GeneratorParams(l1, float(l3)))
             cls1, _ = classify(ens1)
             avg1 = average_entanglement(ens1)
@@ -253,13 +244,12 @@ def suite_hierarchy(values: np.ndarray | None = None, seed: int = DEFAULT_SEED) 
     return res
 
 
-def suite_span_identity(values: np.ndarray | None = None) -> SuiteResult:
+def suite_span_identity() -> SuiteResult:
     """Both families span the same 3-D subspace for every parameter choice."""
-    values = values if values is not None else np.linspace(0.05, 0.95, 19)
     res = SuiteResult("span-identity", 0, 0)
-    for l1 in values:
+    for l1 in _FAMILY_GRID:
         p2 = generate_eq2(float(l1)).span_projector()
-        for l3 in values:
+        for l3 in _FAMILY_GRID:
             p1 = generate_eq1(GeneratorParams(float(l1), float(l3))).span_projector()
             dev = float(np.max(np.abs(p1 - p2)))
             res.checked += 1

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from qlocc import GridSpec
 from qlocc.verify import (
     suite_bravyi,
     suite_complete_basis,
@@ -118,8 +117,6 @@ def test_criterion_8_oracle_equivalence():
         "analytic vs grid-search verdicts on 500 random sets plus both family grids",
         suite_oracle_agreement,
         count=500,
-        grid=GridSpec(resolution=32),
-        include_family_grids=True,
     )
 
 

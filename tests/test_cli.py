@@ -180,7 +180,11 @@ def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
             "avg_entanglement": average_entanglement(ens),
             "is_ueb": cls.ueb.is_ueb,
         })
-    assert out.read_text() == sweep_csv(records)
+    # line by line, so that a failure names its first differing row at once (pytest's
+    # diff of the two whole files takes minutes); equal line lists are equal files
+    got, want = out.read_text().split("\n"), sweep_csv(records).split("\n")
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert (got[k : k + 1], len(got)) == (want[k : k + 1], len(want)), f"line {k} differs"
 
 
 def test_in_process_run_releases_stdout(tmp_path):
@@ -269,5 +273,6 @@ def test_bad_count_seed_or_unwritable_output_exits_2(tmp_path, args):
     args = [a.format(missing=tmp_path / "missing", doc=doc) for a in args]
     res = run(*args)
     assert res.exit_code == 2, res.output
+    assert res.stdout == ""  # only the error, on stderr: nothing is printed before it
     if "missing" in args[-1]:
         assert f"error: cannot write {args[-1]}" in res.output

@@ -16,7 +16,6 @@ from qlocc import (
     classify,
     concurrence,
     conclusively_identifiable,
-    identifiability_report,
     make_state,
     orthocomplement,
     perfectly_distinguishable,
@@ -185,7 +184,7 @@ class TestClassify:
     def test_witnesses_valid_everywhere(self):
         for k in range(50):
             ens = random_orthogonal_set(60_000 + k, size=3)
-            report = identifiability_report(ens)
+            report = classify(ens)[1]
             for v in report.per_state:
                 if v.witness is not None:
                     assert_chefles(ens, v.index, v.witness)
@@ -444,3 +443,36 @@ class TestToleranceBand:
                     assert _rule_overlap(ens[v.index].amps, comp) <= TAU
             hidden = [not v.identifiable for v in report.per_state]
             assert hidden[perm.index(0)] == (f < 1)
+
+
+def _one_entangled_triples(seed=94_000, count=5):
+    """{|00>, |11>, (|01>+|10>)/sqrt(2)} and seeded U_A x U_B images of it, each with
+    its members permuted and a global phase on every member."""
+    members = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 2**-0.5, 2**-0.5, 0]])
+    rng = np.random.default_rng(seed)
+    perms = list(itertools.permutations(range(3)))
+    triples = [OrthogonalSet(tuple(make_state(m) for m in members))]
+    for k, u in enumerate(_local_rotations(seed, count)[1:], start=1):
+        phases = np.exp(2j * np.pi * rng.uniform(size=3))
+        rows = [phase * (u @ members[p]) for phase, p in zip(phases, perms[k % 6])]
+        triples.append(OrthogonalSet(tuple(make_state(r) for r in rows)))
+    return triples
+
+
+class TestPerfectLoccRule:
+    def test_one_entangled_triple_is_perfect(self):
+        triples = _one_entangled_triples()
+        assert len(triples) == 6
+        for ens in triples:
+            cls, report = classify(ens)
+            assert ens.entangled_count() == cls.entangled_count == 1
+            assert cls.label is HierarchyLabel.PERFECT_LOCC
+            assert report.perfectly_distinguishable and report.conclusively_distinguishable
+            assert perfectly_distinguishable(ens)
+
+    def test_label_report_and_rule_agree(self, bell_triple):
+        cases = _haar_family_bell_triples(bell_triple) + _one_entangled_triples()
+        for ens in cases:
+            cls, report = classify(ens)
+            perfect = cls.label is HierarchyLabel.PERFECT_LOCC
+            assert perfect == report.perfectly_distinguishable == perfectly_distinguishable(ens)

@@ -18,7 +18,6 @@ from qlocc import (
     states_equal_up_to_phase,
 )
 from qlocc.errors import BadDimension, FullSpace
-from qlocc.products import ProjectiveRoots
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
 
 from conftest import random_states
@@ -43,40 +42,38 @@ def root_ratios(roots):
 
 class TestQuadraticRoots:
     def test_sum_of_squares(self):
-        kind, roots = quadratic_roots(1, 0, 1)
-        assert kind is ProjectiveRoots.ROOTS
+        roots = quadratic_roots(1, 0, 1)
+        assert len(roots) == 2
         ratios = sorted(root_ratios(roots), key=lambda z: z.imag)
         np.testing.assert_allclose(ratios[0], -1j, atol=1e-12)
         np.testing.assert_allclose(ratios[1], 1j, atol=1e-12)
 
     def test_product_of_axes(self):
-        kind, roots = quadratic_roots(0, 1, 0)
-        assert kind is ProjectiveRoots.ROOTS
+        roots = quadratic_roots(0, 1, 0)
+        assert len(roots) == 2
         ratios = root_ratios(roots)
         assert None in ratios  # b = 0 root
         assert any(r == 0 for r in ratios if r is not None)  # a = 0 root
 
     def test_perfect_square(self):
-        kind, roots = quadratic_roots(1, -2, 1)
-        assert kind is ProjectiveRoots.ROOTS
+        roots = quadratic_roots(1, -2, 1)
         assert len(roots) == 1 and roots[0][1] == 2
         (a, b), _ = roots[0]
         np.testing.assert_allclose(a / b, 1.0, atol=1e-6)
 
     def test_identically_zero(self):
-        kind, roots = quadratic_roots(0, 0, 0)
-        assert kind is ProjectiveRoots.IDENTICALLY_ZERO and roots == []
+        assert quadratic_roots(0, 0, 0) == []  # identically zero
 
     def test_degenerate_leading_coefficient(self):
         # c2 = 0 with double root at b = 0
-        kind, roots = quadratic_roots(0, 0, 3.7)
+        roots = quadratic_roots(0, 0, 3.7)
         assert roots == [((1.0 + 0j, 0j), 2)]
 
     def test_roots_satisfy_quadratic(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             c2, c1, c0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-            _, roots = quadratic_roots(c2, c1, c0)
+            roots = quadratic_roots(c2, c1, c0)
             for (a, b), _ in roots:
                 val = c2 * a * a + c1 * a * b + c0 * b * b
                 assert abs(val) < 1e-9
