@@ -13,9 +13,10 @@ from .states import (
     EPS_ORTH,
     EPS_ZERO,
     PureState,
+    _concurrence,
     _concurrences,
     _entropies,
-    make_state,
+    _unit_rows,
 )
 
 TAU_OVERLAP = 1e-7
@@ -91,7 +92,10 @@ class OrthogonalSet:
 
     def entangled_count(self) -> int:
         """Number of members with concurrence >= eps_zero, counted as _decide counts them."""
-        return int(np.count_nonzero(_concurrences(self._rows) >= self.tolerances.eps_zero))
+        eps, count = self.tolerances.eps_zero, 0
+        for row in self._rows.tolist():
+            count += _concurrence(*row) >= eps
+        return count
 
     def span_projector(self) -> np.ndarray:
         """Orthogonal projector onto the span of the members."""
@@ -104,14 +108,19 @@ def average_entanglement(ensemble: OrthogonalSet) -> float:
     return float(np.mean(_entropies(_concurrences(ensemble._rows)), axis=-1))
 
 
-def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:
-    """Seeded Haar-random orthonormal set of the requested cardinality.
+def _haar_rows(seeds, size: int) -> np.ndarray:
+    """Unit rows (N, size, 4): the first `size` columns of a Haar-random 4x4 unitary per seed,
+    by one stacked QR of each seed's complex Gaussian, phases fixed on R's diagonal."""
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q, r = np.linalg.qr(np.array(draws).reshape(-1, 4, 4))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return _unit_rows(q[..., :size].mT)
 
-    Columns of a Haar-random 4x4 unitary, obtained by QR of a complex
-    Gaussian matrix with the phase convention fixed on R's diagonal.
-    """
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return OrthogonalSet(tuple(make_state(q[:, k]) for k in range(size)))
+
+def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:
+    """Seeded Haar-random orthonormal set of the requested cardinality: _haar_rows of one seed."""
+    return OrthogonalSet(tuple(map(PureState, _haar_rows([seed], size)[0])))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import NonFiniteNorm, ZeroVector
 
-EPS_NORM = 1e-12
 EPS_ZERO = 1e-9
 EPS_ORTH = 1e-9
 
@@ -90,10 +89,14 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     return abs(abs(a.overlap(b)) - 1.0) < tol
 
 
+def _concurrence(a: complex, b: complex, c: complex, d: complex) -> float:
+    """min(1, 2|ad - bc|) of one row of amplitudes: every concurrence is computed here."""
+    return min(1.0, 2.0 * abs(a * d - b * c))
+
+
 def concurrence(s: PureState) -> float:
     """Concurrence 2|det M| = 2|ad - bc|: 0 for product states, 1 for maximally entangled."""
-    a, b, c, d = s.amps.tolist()
-    return min(1.0, 2.0 * abs(a * d - b * c))
+    return _concurrence(*s.amps.tolist())
 
 
 def _dets(amps: np.ndarray) -> np.ndarray:
@@ -104,7 +107,7 @@ def _dets(amps: np.ndarray) -> np.ndarray:
 
 def _concurrences(amps: np.ndarray) -> np.ndarray:
     """concurrence of each row of a stack (..., 4), bit for bit."""
-    conc = [min(1.0, 2.0 * abs(a * d - b * c)) for a, b, c, d in amps.reshape(-1, 4).tolist()]
+    conc = [_concurrence(*row) for row in amps.reshape(-1, 4).tolist()]
     return np.array(conc).reshape(amps.shape[:-1])
 
 

@@ -3,6 +3,12 @@
 Each suite runs one of the theory-level laws over many random or gridded
 instances and reports counts plus the worst tolerance observed.  The CLI
 `verify` subcommand and the acceptance tests both drive these.
+
+Every suite takes (count, seed).  Set k of a Haar suite is row k of one
+ensembles._haar_rows call over seeds seed + k: random_orthogonal_set(seed + k)
+bit for bit.  The family suites run over a fixed grid, built by one
+ueb._family_rows call per family: generate_eq1's and generate_eq2's sets,
+without their lam1 = 1/2 warning.
 """
 
 from __future__ import annotations
@@ -13,18 +19,14 @@ import numpy as np
 
 from .bruteforce import GridSpec, oracle_identifiable
 from .discrimination import HierarchyLabel, _decide, classify, conclusively_identifiable
-from .ensembles import OrthogonalSet, Tolerances, average_entanglement, random_orthogonal_set
+from .ensembles import OrthogonalSet, Tolerances, _haar_rows, average_entanglement
 from .products import Subspace, orthocomplement, product_states_in_2d
-from .states import concurrence, make_state
-from .ueb import (
-    GeneratorParams,
-    generate_eq1,
-    generate_eq2,
-    random_max_entangled_triple,
-)
+from .states import PureState, concurrence, make_state
+from .ueb import _family_rows, random_max_entangled_triple
 
 DEFAULT_SEED = 20240901
 _FAMILY_GRID = np.linspace(0.05, 0.95, 19)  # lam1 (and lam3) values of the family suites
+_EQ1_POINTS = [(l1, l3) for l1 in _FAMILY_GRID.tolist() for l3 in _FAMILY_GRID.tolist()]
 _ORACLE_GRID = GridSpec(resolution=32)
 
 
@@ -48,6 +50,15 @@ class SuiteResult:
         if self.notes:
             line += " | " + "; ".join(self.notes[:3])
         return line
+
+
+def _sets(rows: np.ndarray) -> list[OrthogonalSet]:
+    return [OrthogonalSet(tuple(map(PureState, r))) for r in rows]
+
+
+def _family_sets() -> tuple[list[OrthogonalSet], list[OrthogonalSet]]:
+    """generate_eq1 at each of _EQ1_POINTS and generate_eq2 at each of _FAMILY_GRID, in order."""
+    return _sets(_family_rows(*np.array(_EQ1_POINTS).T)), _sets(_family_rows(_FAMILY_GRID))
 
 
 def _witness_tolerances(ensemble, report):
@@ -83,30 +94,25 @@ def suite_prop1(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     return res
 
 
-def suite_prop2() -> SuiteResult:
-    """The all-entangled family: one unidentifiable member, and a UEB."""
-    points = [(l1, l3) for l1 in _FAMILY_GRID for l3 in _FAMILY_GRID]
-    res = SuiteResult("prop2-entangled-family-grid", len(points), 0)
-    for l1, l3 in points:
-        ens = generate_eq1(GeneratorParams(float(l1), float(l3)))
+def suite_prop2(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """The all-entangled family: one unidentifiable member, and a UEB.
+    The grid is fixed: count and seed do not change it."""
+    res = SuiteResult("prop2-entangled-family-grid", len(_EQ1_POINTS), 0)
+    for (l1, l3), ens in zip(_EQ1_POINTS, _family_sets()[0]):
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
-        if (
-            cls.label is not HierarchyLabel.ONE_UNIDENTIFIABLE
-            or bad != (0,)
-            or not cls.ueb.is_ueb
-        ):
+        if cls.label is not HierarchyLabel.ONE_UNIDENTIFIABLE or bad != (0,) or not cls.ueb.is_ueb:
             res.failures += 1
             res.notes.append(f"({l1:.2f},{l3:.2f}): {cls.describe()} bad={bad}")
     return res
 
 
-def suite_prop3() -> SuiteResult:
-    """The one-product family: both entangled members unidentifiable."""
+def suite_prop3(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """The one-product family: both entangled members unidentifiable.
+    The grid is fixed: count and seed do not change it."""
     res = SuiteResult("prop3-one-product-family", len(_FAMILY_GRID), 0)
     ket00 = make_state([1, 0, 0, 0])
-    for l1 in _FAMILY_GRID:
-        ens = generate_eq2(float(l1))
+    for l1, ens in zip(_FAMILY_GRID, _family_sets()[1]):
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
         w0 = report.per_state[0].witness
@@ -120,7 +126,7 @@ def suite_prop3() -> SuiteResult:
 def suite_impossibility(count: int = 10000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """No orthogonal triple ever has all three members unidentifiable."""
     res = SuiteResult("impossibility-no-triple-fully-hidden", count, 0)
-    amps = np.array([random_orthogonal_set(seed + k, size=3)._rows for k in range(count)])
+    amps = _haar_rows(range(seed, seed + count), 3)
     for k in np.flatnonzero(_decide(amps, Tolerances()).hidden.all(axis=1)):
         res.failures += 1
         res.notes.append(f"seed {seed + k}")
@@ -131,8 +137,7 @@ def suite_complete_basis(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteRe
     """Complete bases: local distinguishability iff zero entangled members,
     and never exactly one entangled member."""
     res = SuiteResult("complete-basis-law", count, 0)
-    for k in range(count):
-        ens = random_orthogonal_set(seed + k, size=4)
+    for k, ens in enumerate(_sets(_haar_rows(range(seed, seed + count), 4))):
         _, report = classify(ens)
         ec = ens.entangled_count()
         iff_ok = report.conclusively_distinguishable == (ec == 0)
@@ -145,8 +150,7 @@ def suite_complete_basis(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteRe
 def suite_sanpera(count: int = 10000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Every 2-D subspace holds at least one product state, soundly."""
     res = SuiteResult("sanpera-2d-product-existence", count, 0)
-    for k in range(count):
-        pair = random_orthogonal_set(seed + k, size=2)
+    for k, pair in enumerate(_sets(_haar_rows(range(seed, seed + count), 2))):
         sub = Subspace(pair.states)
         enum = product_states_in_2d(sub)
         if not enum.states:
@@ -180,8 +184,7 @@ def suite_bravyi(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
 def suite_footnote2(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """No complete basis with exactly one entangled member ever appears."""
     res = SuiteResult("footnote2-no-single-entangled", count, 0)
-    for k in range(count):
-        ens = random_orthogonal_set(seed + k, size=4)
+    for k, ens in enumerate(_sets(_haar_rows(range(seed, seed + count), 4))):
         if ens.entangled_count() == 1:
             res.failures += 1
             res.notes.append(f"seed {seed + k}")
@@ -190,15 +193,11 @@ def suite_footnote2(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
 
 def suite_oracle_agreement(count: int = 500, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Analytic and grid-search identifiability verdicts must coincide."""
-    cases: list[tuple[str, OrthogonalSet]] = [
-        (f"random-{k}", random_orthogonal_set(seed + k, size=3)) for k in range(count)
-    ]
-    cases += [
-        (f"eq1-{l1:.2f}-{l3:.2f}", generate_eq1(GeneratorParams(float(l1), float(l3))))
-        for l1 in _FAMILY_GRID
-        for l3 in _FAMILY_GRID
-    ]
-    cases += [(f"eq2-{l1:.2f}", generate_eq2(float(l1))) for l1 in _FAMILY_GRID]
+    eq1, eq2 = _family_sets()
+    haar = _sets(_haar_rows(range(seed, seed + count), 3))
+    cases = [(f"random-{k}", ens) for k, ens in enumerate(haar)]
+    cases += [(f"eq1-{l1:.2f}-{l3:.2f}", ens) for (l1, l3), ens in zip(_EQ1_POINTS, eq1)]
+    cases += [(f"eq2-{l1:.2f}", ens) for l1, ens in zip(_FAMILY_GRID, eq2)]
     res = SuiteResult("oracle-agreement", 3 * len(cases), 0)
     for name, ens in cases:
         for i in range(3):
@@ -210,7 +209,7 @@ def suite_oracle_agreement(count: int = 500, seed: int = DEFAULT_SEED) -> SuiteR
     return res
 
 
-def suite_hierarchy(seed: int = DEFAULT_SEED) -> SuiteResult:
+def suite_hierarchy(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResult:
     """More nonlocality with less entanglement along the hierarchy.
 
     Maximally entangled triples (average entanglement 1, all identifiable)
@@ -218,45 +217,40 @@ def suite_hierarchy(seed: int = DEFAULT_SEED) -> SuiteResult:
     which sits below the one-product family (fewer entangled members, two
     unidentifiable).  Average concurrence is identical between the two
     parametric families, so the entangled-member count carries the "less
-    entanglement" step there.
+    entanglement" step there.  The family grid is fixed: count does not change it.
     """
-    res = SuiteResult("hierarchy-more-nonlocality-less-entanglement", 0, 0)
+    res = SuiteResult("hierarchy-more-nonlocality-less-entanglement", len(_EQ1_POINTS), 0)
     met = random_max_entangled_triple(seed)
     cls_met, _ = classify(met)
     avg_met = average_entanglement(met)
-    for l1 in _FAMILY_GRID:
-        l1 = float(l1)
-        ens2 = generate_eq2(l1)
-        cls2, _ = classify(ens2)
-        for l3 in _FAMILY_GRID:
-            ens1 = generate_eq1(GeneratorParams(l1, float(l3)))
-            cls1, _ = classify(ens1)
-            avg1 = average_entanglement(ens1)
-            res.checked += 1
-            ok = (
-                avg1 < avg_met
-                and cls_met.label < cls1.label < cls2.label
-                and ens2.entangled_count() < ens1.entangled_count()
-            )
-            if not ok:
-                res.failures += 1
-                res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}")
+    eq1, eq2 = _family_sets()
+    siblings = [(classify(ens)[0].label, ens.entangled_count()) for ens in eq2]
+    for k, ((l1, l3), ens1) in enumerate(zip(_EQ1_POINTS, eq1)):
+        label2, entangled2 = siblings[k // len(_FAMILY_GRID)]
+        cls1, _ = classify(ens1)
+        ok = (
+            average_entanglement(ens1) < avg_met
+            and cls_met.label < cls1.label < label2
+            and entangled2 < ens1.entangled_count()
+        )
+        if not ok:
+            res.failures += 1
+            res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}")
     return res
 
 
-def suite_span_identity() -> SuiteResult:
-    """Both families span the same 3-D subspace for every parameter choice."""
-    res = SuiteResult("span-identity", 0, 0)
-    for l1 in _FAMILY_GRID:
-        p2 = generate_eq2(float(l1)).span_projector()
-        for l3 in _FAMILY_GRID:
-            p1 = generate_eq1(GeneratorParams(float(l1), float(l3))).span_projector()
-            dev = float(np.max(np.abs(p1 - p2)))
-            res.checked += 1
-            res.worst = max(res.worst, dev)
-            if dev >= 1e-9:
-                res.failures += 1
-                res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}: dev {dev:.2e}")
+def suite_span_identity(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Both families span the same 3-D subspace for every parameter choice.
+    The grid is fixed: count and seed do not change it."""
+    res = SuiteResult("span-identity", len(_EQ1_POINTS), 0)
+    eq1, eq2 = _family_sets()
+    siblings = [ens.span_projector() for ens in eq2]
+    for k, ((l1, l3), ens1) in enumerate(zip(_EQ1_POINTS, eq1)):
+        dev = float(np.max(np.abs(ens1.span_projector() - siblings[k // len(_FAMILY_GRID)])))
+        res.worst = max(res.worst, dev)
+        if dev >= 1e-9:
+            res.failures += 1
+            res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}: dev {dev:.2e}")
     return res
 
 

@@ -249,10 +249,17 @@ def test_verify_selected_suites():
     assert res.output.count("[pass]") == 2
 
 
-def test_verify_counted_suite():
-    res = run("verify", "--suite", "prop1", "--count", "25")
+@pytest.mark.parametrize(
+    "suite, checked",
+    [("prop1", 3), ("impossibility", 3), ("complete-basis", 3), ("sanpera", 3), ("bravyi", 3),
+     ("footnote2", 3), ("prop2", 361), ("prop3", 19), ("hierarchy", 361), ("span", 361)],
+)
+def test_verify_counted_suite(suite, checked):
+    # counted suites check --count sets; the family suites check their fixed grid
+    res = run("verify", "--suite", suite, "--count", "3", "--seed", "5")
     assert res.exit_code == 0, res.output
-    assert "25/25" in res.output
+    assert f": {checked}/{checked}" in res.stdout and res.stdout.count("\n") == 1
+    assert res.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 
 import mpmath
@@ -476,3 +477,34 @@ class TestPerfectLoccRule:
             cls, report = classify(ens)
             perfect = cls.label is HierarchyLabel.PERFECT_LOCC
             assert perfect == report.perfectly_distinguishable == perfectly_distinguishable(ens)
+
+
+def _near_threshold_triple(delta):
+    """{c|00> - delta|11>, sqrt(0.3)|01> + sqrt(0.7)|10>, sqrt(0.7)|01> - sqrt(0.3)|10>},
+    c = sqrt(1 - delta^2): members 1 and 2 have witness overlap ~ 1.48 sqrt(delta)."""
+    c, a, b = np.sqrt(1 - delta**2), np.sqrt(0.3), np.sqrt(0.7)
+    rows = [c, 0, 0, -delta], [0, a, b, 0], [0, b, -a, 0]
+    return OrthogonalSet(tuple(make_state(r) for r in rows))
+
+
+class TestNearThreshold:
+    @pytest.mark.parametrize(
+        "delta, overlap, flagged", [(1e-9, 4.7e-5, True), (5e-9, 1.04e-4, False)]
+    )
+    def test_witness_band_flag(self, tmp_path, delta, overlap, flagged):
+        # flagged: target overlap in [tau, WARN_BAND_FACTOR * tau] = [1e-7, 1e-4]
+        ens = _near_threshold_triple(delta)
+        _, report = classify(ens)
+        assert [v.identifiable for v in report.per_state] == [True, True, True]
+        assert report.per_state[0].witness_overlap == pytest.approx(1.0)
+        assert not report.per_state[0].near_threshold
+        for v in report.per_state[1:]:
+            assert v.witness_overlap == pytest.approx(overlap, rel=1e-2)
+            assert v.near_threshold == flagged
+        doc = tmp_path / "band.json"
+        doc.write_text(emit_document(ens, ["a", "b", "c"]))
+        res = CliRunner().invoke(main, ["classify", str(doc), "--json", "-"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output[res.output.index("{"):])
+        flags = [s.get("near_threshold", False) for s in payload["states"]]
+        assert flags == [False, flagged, flagged]

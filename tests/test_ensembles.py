@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from qlocc import OrthogonalSet, PureState, Tolerances, make_state
+from qlocc import OrthogonalSet, PureState, Tolerances, make_state, random_orthogonal_set
+from qlocc.ensembles import _haar_rows
 from qlocc.errors import BadTolerance, InvalidSet, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
@@ -65,3 +66,20 @@ class TestTolerances:
         ]
         assert all(s.tolerances is sets[0].tolerances for s in sets)
         assert sets[0].tolerances == Tolerances()
+
+
+class TestSeededDraw:
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_rows_pinned_and_stacked(self, size):
+        # the per-seed construction random_orthogonal_set has always used, written out
+        seeds = [0, 1, 7, 2024, 20240901, 2**32 + 5]
+        stacked = _haar_rows(seeds, size)
+        assert stacked.shape == (len(seeds), size, 4)
+        for seed, rows in zip(seeds, stacked):
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            q, r = np.linalg.qr(g)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            expected = np.array([make_state(q[:, k]).amps for k in range(size)])
+            got = random_orthogonal_set(seed, size)._rows
+            assert got.tobytes() == expected.tobytes() == rows.tobytes()
