@@ -17,6 +17,7 @@ from .states import (
     _concurrences,
     _entropies,
     _unit_rows,
+    make_state,
 )
 
 TAU_OVERLAP = 1e-7
@@ -108,19 +109,26 @@ def average_entanglement(ensemble: OrthogonalSet) -> float:
     return float(np.mean(_entropies(_concurrences(ensemble._rows)), axis=-1))
 
 
+def _row_set(rows: np.ndarray, tolerances: Tolerances = _DEFAULT_TOLERANCES) -> OrthogonalSet:
+    """OrthogonalSet of unit, phase-canonical rows (n, 4), such as one stack of _unit_rows."""
+    return OrthogonalSet(tuple(map(PureState, rows)), tolerances)
+
+
+def _haar_unitaries(seeds) -> np.ndarray:
+    """Haar-random 4x4 unitaries (N, 4, 4): one stacked QR of each seed's complex Gaussian."""
+    rngs = map(np.random.default_rng, seeds)  # lazily: one generator alive at a time
+    g = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for rng in rngs]
+    q, r = np.linalg.qr(np.array(g).reshape(-1, 4, 4))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)  # phases fixed so that R's diagonal is positive
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def _haar_rows(seeds, size: int) -> np.ndarray:
-    """Unit rows (N, size, 4): the first `size` columns of a Haar-random 4x4 unitary per seed,
-    by one stacked QR of each seed's complex Gaussian, phases fixed on R's diagonal."""
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    q, r = np.linalg.qr(np.array(draws).reshape(-1, 4, 4))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    return _unit_rows(q[..., :size].mT)
+    """Unit rows (N, size, 4): the first `size` columns of each seed's _haar_unitaries."""
+    return _unit_rows(_haar_unitaries(seeds)[..., :size].mT)
 
 
 def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:
-    """Seeded Haar-random orthonormal set of the requested cardinality: _haar_rows of one seed."""
-    return OrthogonalSet(tuple(map(PureState, _haar_rows([seed], size)[0])))
+    """Seeded Haar-random orthonormal set: _haar_rows([seed], size) bit for bit, by make_state."""
+    q = _haar_unitaries([seed])[0]
+    return OrthogonalSet(tuple(make_state(q[:, k]) for k in range(size)))

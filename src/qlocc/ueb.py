@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import UebVerdict, _decide, _ueb_verdict
-from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, Tolerances
+from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, Tolerances, _row_set
 from .errors import BadCardinality, BadParam
 from .states import PureState, _unit_rows, concurrence, is_product, make_state
 
@@ -97,7 +97,7 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
     if params.lam3 is None:
         raise BadParam("this family needs both lam1 and lam3")
     rows = _family_rows(np.array(params.lam1), np.array(params.lam3))
-    ens = OrthogonalSet(tuple(map(PureState, rows)), tolerances=tolerances or _DEFAULT_TOLERANCES)
+    ens = _row_set(rows, tolerances or _DEFAULT_TOLERANCES)
     if abs(concurrence(ens[0]) - 1.0) < 1e-9:
         warnings.warn(
             "lam1 = 1/2 makes the first member maximally entangled; the "
@@ -110,8 +110,7 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
 def generate_eq2(lam1: float, tolerances: Tolerances | None = None) -> OrthogonalSet:
     """The sibling family: |00> plus two entangled states in the |01>,|10> plane."""
     params = GeneratorParams(lam1)  # validates the range
-    rows = _family_rows(np.array(params.lam1))
-    return OrthogonalSet(tuple(map(PureState, rows)), tolerances=tolerances or _DEFAULT_TOLERANCES)
+    return _row_set(_family_rows(np.array(params.lam1)), tolerances or _DEFAULT_TOLERANCES)
 
 
 def _random_orthogonal_matrix(rng: np.random.Generator) -> np.ndarray:

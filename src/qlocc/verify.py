@@ -6,9 +6,9 @@ instances and reports counts plus the worst tolerance observed.  The CLI
 
 Every suite takes (count, seed).  Set k of a Haar suite is row k of one
 ensembles._haar_rows call over seeds seed + k: random_orthogonal_set(seed + k)
-bit for bit.  The family suites run over a fixed grid, built by one
-ueb._family_rows call per family: generate_eq1's and generate_eq2's sets,
-without their lam1 = 1/2 warning.
+bit for bit.  The family suites run over a fixed grid, and build only the
+families they read, each with one ueb._family_rows call: generate_eq1's and
+generate_eq2's sets, without generate_eq1's lam1 = 1/2 warning.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ import numpy as np
 
 from .bruteforce import GridSpec, oracle_identifiable
 from .discrimination import HierarchyLabel, _decide, classify, conclusively_identifiable
-from .ensembles import OrthogonalSet, Tolerances, _haar_rows, average_entanglement
+from .ensembles import OrthogonalSet, Tolerances, _haar_rows, _row_set, average_entanglement
 from .products import Subspace, orthocomplement, product_states_in_2d
-from .states import PureState, concurrence, make_state
+from .states import concurrence, make_state
 from .ueb import _family_rows, random_max_entangled_triple
 
 DEFAULT_SEED = 20240901
 _FAMILY_GRID = np.linspace(0.05, 0.95, 19)  # lam1 (and lam3) values of the family suites
 _EQ1_POINTS = [(l1, l3) for l1 in _FAMILY_GRID.tolist() for l3 in _FAMILY_GRID.tolist()]
+_EQ1_LAMS = np.array(_EQ1_POINTS).T  # the lam1 and lam3 arguments of _family_rows
 _ORACLE_GRID = GridSpec(resolution=32)
 
 
@@ -53,12 +54,7 @@ class SuiteResult:
 
 
 def _sets(rows: np.ndarray) -> list[OrthogonalSet]:
-    return [OrthogonalSet(tuple(map(PureState, r))) for r in rows]
-
-
-def _family_sets() -> tuple[list[OrthogonalSet], list[OrthogonalSet]]:
-    """generate_eq1 at each of _EQ1_POINTS and generate_eq2 at each of _FAMILY_GRID, in order."""
-    return _sets(_family_rows(*np.array(_EQ1_POINTS).T)), _sets(_family_rows(_FAMILY_GRID))
+    return list(map(_row_set, rows))
 
 
 def _witness_tolerances(ensemble, report):
@@ -98,7 +94,7 @@ def suite_prop2(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResu
     """The all-entangled family: one unidentifiable member, and a UEB.
     The grid is fixed: count and seed do not change it."""
     res = SuiteResult("prop2-entangled-family-grid", len(_EQ1_POINTS), 0)
-    for (l1, l3), ens in zip(_EQ1_POINTS, _family_sets()[0]):
+    for (l1, l3), ens in zip(_EQ1_POINTS, _sets(_family_rows(*_EQ1_LAMS))):
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
         if cls.label is not HierarchyLabel.ONE_UNIDENTIFIABLE or bad != (0,) or not cls.ueb.is_ueb:
@@ -112,7 +108,7 @@ def suite_prop3(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResu
     The grid is fixed: count and seed do not change it."""
     res = SuiteResult("prop3-one-product-family", len(_FAMILY_GRID), 0)
     ket00 = make_state([1, 0, 0, 0])
-    for l1, ens in zip(_FAMILY_GRID, _family_sets()[1]):
+    for l1, ens in zip(_FAMILY_GRID, _sets(_family_rows(_FAMILY_GRID))):
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
         w0 = report.per_state[0].witness
@@ -193,7 +189,7 @@ def suite_footnote2(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
 
 def suite_oracle_agreement(count: int = 500, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Analytic and grid-search identifiability verdicts must coincide."""
-    eq1, eq2 = _family_sets()
+    eq1, eq2 = _sets(_family_rows(*_EQ1_LAMS)), _sets(_family_rows(_FAMILY_GRID))
     haar = _sets(_haar_rows(range(seed, seed + count), 3))
     cases = [(f"random-{k}", ens) for k, ens in enumerate(haar)]
     cases += [(f"eq1-{l1:.2f}-{l3:.2f}", ens) for (l1, l3), ens in zip(_EQ1_POINTS, eq1)]
@@ -223,7 +219,7 @@ def suite_hierarchy(count: int | None = None, seed: int = DEFAULT_SEED) -> Suite
     met = random_max_entangled_triple(seed)
     cls_met, _ = classify(met)
     avg_met = average_entanglement(met)
-    eq1, eq2 = _family_sets()
+    eq1, eq2 = _sets(_family_rows(*_EQ1_LAMS)), _sets(_family_rows(_FAMILY_GRID))
     siblings = [(classify(ens)[0].label, ens.entangled_count()) for ens in eq2]
     for k, ((l1, l3), ens1) in enumerate(zip(_EQ1_POINTS, eq1)):
         label2, entangled2 = siblings[k // len(_FAMILY_GRID)]
@@ -243,7 +239,7 @@ def suite_span_identity(count: int | None = None, seed: int = DEFAULT_SEED) -> S
     """Both families span the same 3-D subspace for every parameter choice.
     The grid is fixed: count and seed do not change it."""
     res = SuiteResult("span-identity", len(_EQ1_POINTS), 0)
-    eq1, eq2 = _family_sets()
+    eq1, eq2 = _sets(_family_rows(*_EQ1_LAMS)), _sets(_family_rows(_FAMILY_GRID))
     siblings = [ens.span_projector() for ens in eq2]
     for k, ((l1, l3), ens1) in enumerate(zip(_EQ1_POINTS, eq1)):
         dev = float(np.max(np.abs(ens1.span_projector() - siblings[k // len(_FAMILY_GRID)])))
