@@ -170,10 +170,11 @@ def _sweep_records(lam1s, lam3s):
         v = _decide(rows, _DEFAULT_TOLERANCES)
         avg = np.mean(_entropies(v.conc), axis=-1).tolist()
         lam3 = [None] * len(b1) if b3 is None else b3.tolist()
-        for k, lam1 in enumerate(b1.tolist()):
-            bad = np.flatnonzero(v.hidden[k]).tolist()
-            yield {"lambda1": lam1, "lambda3": lam3[k], "class": names[v.labels[k]],
-                   "unidentifiable": bad, "avg_entanglement": avg[k], "is_ueb": bool(v.ueb[k])}
+        columns = zip(b1.tolist(), lam3, v.labels.tolist(), v.hidden.tolist(), avg, v.ueb.tolist())
+        for x1, x3, label, hidden, avg_ent, ueb in columns:
+            yield {"lambda1": x1, "lambda3": x3, "class": names[label],
+                   "unidentifiable": [i for i, h in enumerate(hidden) if h],
+                   "avg_entanglement": avg_ent, "is_ueb": ueb}
 
 
 @main.command("sweep")

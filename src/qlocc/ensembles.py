@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, fields
 from numbers import Real
@@ -43,20 +44,31 @@ class Tolerances:
 _DEFAULT_TOLERANCES = Tolerances()
 
 
+@functools.lru_cache(maxsize=16)  # 3 sizes x a few eps_orth; the arrays are never written
+def _gram_bounds(n: int, eps_orth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix of n orthonormal members, and the bound on each entry's deviation."""
+    eye = np.eye(n, dtype=np.complex128)  # the Gram's dtype: subtracting it casts nothing
+    return eye, np.where(eye, EPS_ORTH, eps_orth)
+
+
 def _check_orthogonal(amps: np.ndarray, eps_orth: float) -> None:
-    """Raise InvalidSet unless the members of every stack (..., n, 4) overlap by < eps_orth."""
-    i, j = np.triu_indices(amps.shape[-2], 1)
+    """Raise InvalidSet unless the members of every stack (..., n, 4) are orthonormal: each
+    |<i|j>| < eps_orth, and each |<i|i> - 1| < EPS_ORTH however small eps_orth is."""
+    eye, bound = _gram_bounds(amps.shape[-2], eps_orth)
     with np.errstate(over="ignore", invalid="ignore"):
-        ov = np.abs(amps.conj() @ amps.mT)[..., i, j]
-    bad = np.argwhere(~(ov < eps_orth))  # not <, so a NaN overlap (non-finite amplitude) fails
-    if len(bad):
-        k, i, j = tuple(bad[0]), i[bad[0][-1]], j[bad[0][-1]]
-        raise InvalidSet(f"states {i} and {j} are not orthogonal or not finite: {ov[k]:.3e}")
+        dev = abs(amps.conj() @ amps.mT - eye)
+    ok = dev < bound  # not >=, so NaN (a non-finite amplitude) fails
+    if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on a stack of one
+        k = tuple(np.argwhere(~ok)[0])  # the first in row order: i <= j, up to rounding
+        *_, i, j = k
+        what, entry = (f"state {i} is not a unit vector", f"<{i}|{i}> - 1") if i == j else (
+            f"states {i} and {j} are not orthogonal", f"<{i}|{j}>")
+        raise InvalidSet(f"{what} or not finite: |{entry}| = {dev[k]:.3e}")
 
 
 @dataclass(frozen=True)
 class OrthogonalSet:
-    """A pairwise-orthogonal collection of 2 to 4 two-qubit pure states.
+    """An orthonormal collection of 2 to 4 two-qubit pure states.
 
     Orthogonality implies linear independence, so cardinality never exceeds 4.
     """
@@ -69,17 +81,9 @@ class OrthogonalSet:
         n = len(self.states)
         if not 2 <= n <= 4:
             raise InvalidSet(f"cardinality must be 2, 3, or 4, got {n}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                ov = abs(self.states[i].overlap(self.states[j]))
-                # not <, so a non-finite amplitude (NaN overlap) fails too
-                if not ov < self.tolerances.eps_orth:
-                    raise InvalidSet(
-                        f"states {i} and {j} are not orthogonal or not finite: "
-                        f"|<{i}|{j}>| = {ov:.3e}"
-                    )
-        # n x 4 amplitudes: the stack of one the kernels read
+        # n x 4 amplitudes: the stack of one that the check and the kernels read
         object.__setattr__(self, "_rows", np.array([s.amps for s in self.states]))
+        _check_orthogonal(self._rows, self.tolerances.eps_orth)
 
     def __len__(self):
         return len(self.states)

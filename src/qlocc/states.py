@@ -29,7 +29,8 @@ def _canonical_phase(amps: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray
 
 @dataclass(frozen=True)
 class PureState:
-    """A normalized, phase-canonicalized two-qubit pure state."""
+    """A two-qubit pure state's four amplitudes, stored as given: make_state normalises and
+    phase-canonicalises them, and OrthogonalSet rejects a member that is not a unit vector."""
 
     amps: np.ndarray
 

@@ -43,6 +43,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
+    def fail(self, note: str) -> None:
+        """Count one failing instance, described by note."""
+        self.failures += 1
+        self.notes.append(note)
+
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
         line = f"[{status}] {self.name}: {self.checked - self.failures}/{self.checked}"
@@ -85,8 +90,7 @@ def suite_prop1(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
         leak, target = _witness_tolerances(triple, report)
         res.worst = max(res.worst, leak)
         if cls.label is not HierarchyLabel.CONCLUSIVE_ONLY or leak >= 1e-9 or target <= 1e-7:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}: {cls.describe()} leak {leak:.2e}")
+            res.fail(f"seed {seed + k}: {cls.describe()} leak {leak:.2e}")
     return res
 
 
@@ -98,8 +102,7 @@ def suite_prop2(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResu
         cls, report = classify(ens)
         bad = tuple(v.index for v in report.per_state if not v.identifiable)
         if cls.label is not HierarchyLabel.ONE_UNIDENTIFIABLE or bad != (0,) or not cls.ueb.is_ueb:
-            res.failures += 1
-            res.notes.append(f"({l1:.2f},{l3:.2f}): {cls.describe()} bad={bad}")
+            res.fail(f"({l1:.2f},{l3:.2f}): {cls.describe()} bad={bad}")
     return res
 
 
@@ -114,8 +117,7 @@ def suite_prop3(count: int | None = None, seed: int = DEFAULT_SEED) -> SuiteResu
         w0 = report.per_state[0].witness
         witness_ok = w0 is not None and abs(abs(w0.overlap(ket00)) - 1.0) < 1e-9
         if cls.label is not HierarchyLabel.TWO_UNIDENTIFIABLE or bad != (1, 2) or not witness_ok:
-            res.failures += 1
-            res.notes.append(f"lam1={l1:.2f}: {cls.describe()} bad={bad}")
+            res.fail(f"lam1={l1:.2f}: {cls.describe()} bad={bad}")
     return res
 
 
@@ -124,8 +126,7 @@ def suite_impossibility(count: int = 10000, seed: int = DEFAULT_SEED) -> SuiteRe
     res = SuiteResult("impossibility-no-triple-fully-hidden", count, 0)
     amps = _haar_rows(range(seed, seed + count), 3)
     for k in np.flatnonzero(_decide(amps, Tolerances()).hidden.all(axis=1)):
-        res.failures += 1
-        res.notes.append(f"seed {seed + k}")
+        res.fail(f"seed {seed + k}")
     return res
 
 
@@ -138,8 +139,7 @@ def suite_complete_basis(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteRe
         ec = ens.entangled_count()
         iff_ok = report.conclusively_distinguishable == (ec == 0)
         if not iff_ok or ec == 1:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}: entangled={ec}")
+            res.fail(f"seed {seed + k}: entangled={ec}")
     return res
 
 
@@ -150,16 +150,14 @@ def suite_sanpera(count: int = 10000, seed: int = DEFAULT_SEED) -> SuiteResult:
         sub = Subspace(pair.states)
         enum = product_states_in_2d(sub)
         if not enum.states:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}: empty enumeration")
+            res.fail(f"seed {seed + k}: empty enumeration")
             continue
         for s in enum.states:
             c = concurrence(s)
             gap = 1.0 - sub.projection_norm(s)
             res.worst = max(res.worst, c, gap)
             if c >= 1e-9 or gap >= 1e-9:
-                res.failures += 1
-                res.notes.append(f"seed {seed + k}: c={c:.2e} gap={gap:.2e}")
+                res.fail(f"seed {seed + k}: c={c:.2e} gap={gap:.2e}")
     return res
 
 
@@ -172,8 +170,7 @@ def suite_bravyi(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
         dev = abs(concurrence(comp) - 1.0)
         res.worst = max(res.worst, dev)
         if dev >= 1e-9:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}: dev {dev:.2e}")
+            res.fail(f"seed {seed + k}: dev {dev:.2e}")
     return res
 
 
@@ -182,8 +179,7 @@ def suite_footnote2(count: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     res = SuiteResult("footnote2-no-single-entangled", count, 0)
     for k, ens in enumerate(_sets(_haar_rows(range(seed, seed + count), 4))):
         if ens.entangled_count() == 1:
-            res.failures += 1
-            res.notes.append(f"seed {seed + k}")
+            res.fail(f"seed {seed + k}")
     return res
 
 
@@ -200,8 +196,7 @@ def suite_oracle_agreement(count: int = 500, seed: int = DEFAULT_SEED) -> SuiteR
             analytic, _ = conclusively_identifiable(ens, i)
             numeric = oracle_identifiable(ens, i, _ORACLE_GRID).identifiable
             if analytic != numeric:
-                res.failures += 1
-                res.notes.append(f"{name} i={i}: analytic={analytic} oracle={numeric}")
+                res.fail(f"{name} i={i}: analytic={analytic} oracle={numeric}")
     return res
 
 
@@ -230,8 +225,7 @@ def suite_hierarchy(count: int | None = None, seed: int = DEFAULT_SEED) -> Suite
             and entangled2 < ens1.entangled_count()
         )
         if not ok:
-            res.failures += 1
-            res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}")
+            res.fail(f"lam1={l1:.2f} lam3={l3:.2f}")
     return res
 
 
@@ -245,8 +239,7 @@ def suite_span_identity(count: int | None = None, seed: int = DEFAULT_SEED) -> S
         dev = float(np.max(np.abs(ens1.span_projector() - siblings[k // len(_FAMILY_GRID)])))
         res.worst = max(res.worst, dev)
         if dev >= 1e-9:
-            res.failures += 1
-            res.notes.append(f"lam1={l1:.2f} lam3={l3:.2f}: dev {dev:.2e}")
+            res.fail(f"lam1={l1:.2f} lam3={l3:.2f}: dev {dev:.2e}")
     return res
 
 

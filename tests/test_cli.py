@@ -156,8 +156,17 @@ def test_sweep_joined_entanglement_columns(tmp_path):
         assert float(cols[4]) < avg2[cols[0]]
 
 
+# both eq1 grids hold lam1 = 1/2, where generate_eq1 warns that psi1 is maximally entangled
+_LAM1_HALF = pytest.mark.filterwarnings("ignore::qlocc.ueb.MaximalEntanglementWarning")
+
+
 @pytest.mark.parametrize(
-    "family, grid", [("eq1", "0.05:0.95:19"), ("eq1", "0.001:0.999:23"), ("eq2", "0.001:0.999:400")]
+    "family, grid",
+    [
+        pytest.param("eq1", "0.05:0.95:19", marks=_LAM1_HALF),
+        pytest.param("eq1", "0.001:0.999:23", marks=_LAM1_HALF),
+        ("eq2", "0.001:0.999:400"),
+    ],
 )
 def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
     """The batched sweep writes the bytes of a per-point loop over classify."""

@@ -200,6 +200,7 @@ class TestClassify:
             cls, _ = classify(random_max_entangled_triple(80_000 + k))
             assert cls.label is HierarchyLabel.CONCLUSIVE_ONLY
 
+    @pytest.mark.filterwarnings("ignore::qlocc.ueb.MaximalEntanglementWarning")  # lam1 = 1/2
     def test_family_grids(self):
         for l1 in np.linspace(0.1, 0.9, 5):
             for l3 in np.linspace(0.1, 0.9, 5):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlocc import OrthogonalSet, PureState, Tolerances, make_state, random_orthogonal_set
-from qlocc.ensembles import _haar_rows
+from qlocc.ensembles import _check_orthogonal, _haar_rows
 from qlocc.errors import BadTolerance, InvalidSet, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
@@ -22,6 +22,30 @@ class TestNonFiniteMembers:
         member = PureState([0, 1, bad, 0])
         with pytest.raises(InvalidSet, match="not finite"):
             OrthogonalSet(tuple(BELL[: n - 1]) + (member,))
+
+
+class TestNonUnitMembers:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-5, 1.5])
+    def test_rejected(self, n, scale):
+        # built directly, so make_state never normalises it
+        member = PureState(scale * BELL[n - 1].amps)
+        with pytest.raises(InvalidSet, match=f"state {n - 1} is not a unit vector"):
+            OrthogonalSet(tuple(BELL[: n - 1]) + (member,))
+
+    def test_shrunk_bell_triple_rejected(self):
+        # concurrence scales with norm^2: unchecked, this set reads PerfectLocc with one
+        # entangled member where the unit triple is ConclusiveOnly with three
+        shrunk = tuple(PureState(1e-5 * s.amps) for s in BELL[:2]) + (BELL[2],)
+        with pytest.raises(InvalidSet, match="state 0 is not a unit vector"):
+            OrthogonalSet(shrunk)
+
+    def test_block_names_the_failing_pair(self):
+        rows = _haar_rows(range(8), 3)
+        _check_orthogonal(rows, 1e-9)
+        rows[5, 2] = (rows[5, 1] + rows[5, 2]) / math.sqrt(2)  # unit, but not orthogonal to 1
+        with pytest.raises(InvalidSet, match=r"states 1 and 2 are not orthogonal .*7\.071e-01"):
+            _check_orthogonal(rows, 1e-9)
 
 
 class TestTolerances:
@@ -56,6 +80,12 @@ class TestTolerances:
     )
     def test_tau_within_bound_accepted(self, eps_zero, tau):
         assert Tolerances(eps_zero=eps_zero, tau_overlap=tau).tau_overlap == tau
+
+    def test_tiny_eps_orth_keeps_the_norm_bound(self):
+        # the second member's squared norm rounds to 1 - 2.2e-16, which eps_orth would reject
+        pair = (make_state([1, 0, 0, 0]), make_state([0, 1, 1, 0]))
+        assert abs(np.vdot(pair[1].amps, pair[1].amps) - 1.0) > 1e-300
+        assert len(OrthogonalSet(pair, Tolerances(eps_orth=1e-300))) == 2
 
     def test_default_is_shared(self):
         sets = [

@@ -54,6 +54,7 @@ class TestGenerateEq1:
         for s in ens.states:
             assert concurrence(s) > 1e-6
 
+    @pytest.mark.filterwarnings("ignore::qlocc.ueb.MaximalEntanglementWarning")  # lam1 = 1/2
     def test_complement_is_11(self):
         for l1, l3 in [(0.1, 0.8), (0.5, 0.3), (0.9, 0.9)]:
             ens = generate_eq1(GeneratorParams(l1, l3))
