@@ -44,26 +44,32 @@ class Tolerances:
 _DEFAULT_TOLERANCES = Tolerances()
 
 
-@functools.lru_cache(maxsize=16)  # 3 sizes x a few eps_orth; the arrays are never written
+@functools.lru_cache(maxsize=16)  # 3 sizes x a few eps_orth
 def _gram_bounds(n: int, eps_orth: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix of n orthonormal members, and the bound on each entry's deviation."""
+    """The Gram matrix of n orthonormal members, and the bound on each entry's deviation;
+    read-only, since every caller shares them."""
     eye = np.eye(n, dtype=np.complex128)  # the Gram's dtype: subtracting it casts nothing
-    return eye, np.where(eye, EPS_ORTH, eps_orth)
+    bound = np.where(eye, EPS_ORTH, eps_orth)
+    eye.setflags(write=False)
+    bound.setflags(write=False)
+    return eye, bound
 
 
+# as a decorator, errstate builds no context-manager object per call
+@np.errstate(over="ignore", invalid="ignore")
 def _check_orthogonal(amps: np.ndarray, eps_orth: float) -> None:
     """Raise InvalidSet unless the members of every stack (..., n, 4) are orthonormal: each
     |<i|j>| < eps_orth, and each |<i|i> - 1| < EPS_ORTH however small eps_orth is."""
     eye, bound = _gram_bounds(amps.shape[-2], eps_orth)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = abs(amps.conj() @ amps.mT - eye)
-    ok = dev < bound  # not >=, so NaN (a non-finite amplitude) fails
+    dev = np.vecdot(amps[..., None, :], amps[..., None, :, :])  # <i|j>, no conj() copy
+    dev -= eye
+    ok = abs(dev) < bound  # not >=, so NaN (a non-finite amplitude) fails
     if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on a stack of one
         k = tuple(np.argwhere(~ok)[0])  # the first in row order: i <= j, up to rounding
         *_, i, j = k
         what, entry = (f"state {i} is not a unit vector", f"<{i}|{i}> - 1") if i == j else (
             f"states {i} and {j} are not orthogonal", f"<{i}|{j}>")
-        raise InvalidSet(f"{what} or not finite: |{entry}| = {dev[k]:.3e}")
+        raise InvalidSet(f"{what} or not finite: |{entry}| = {abs(dev[k]):.3e}")
 
 
 @dataclass(frozen=True)

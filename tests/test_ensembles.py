@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlocc import OrthogonalSet, PureState, Tolerances, make_state, random_orthogonal_set
-from qlocc.ensembles import _check_orthogonal, _haar_rows
+from qlocc.ensembles import _check_orthogonal, _gram_bounds, _haar_rows
 from qlocc.errors import BadTolerance, InvalidSet, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
@@ -13,25 +13,22 @@ BELL = [make_state(v) for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1
 
 
 class TestNonFiniteMembers:
+    """Members that are not finite unit vectors, built directly so make_state never sees them."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, complex(0, math.nan)], ids=["nan", "inf", "nanj"]
+        "bad, match",
+        [
+            pytest.param(lambda n: [0, 1, math.nan, 0], "not finite", id="nan"),
+            pytest.param(lambda n: [0, 1, math.inf, 0], "not finite", id="inf"),
+            pytest.param(lambda n: [0, 1, complex(0, math.nan), 0], "not finite", id="nanj"),
+            pytest.param(lambda n: 1e-5 * BELL[n - 1].amps, "state {} is not a unit", id="1e-5"),
+            pytest.param(lambda n: 1.5 * BELL[n - 1].amps, "state {} is not a unit", id="1.5"),
+        ],
     )
-    def test_rejected(self, n, bad):
-        # built directly, so make_state's norm check never sees it
-        member = PureState([0, 1, bad, 0])
-        with pytest.raises(InvalidSet, match="not finite"):
-            OrthogonalSet(tuple(BELL[: n - 1]) + (member,))
-
-
-class TestNonUnitMembers:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("scale", [1e-5, 1.5])
-    def test_rejected(self, n, scale):
-        # built directly, so make_state never normalises it
-        member = PureState(scale * BELL[n - 1].amps)
-        with pytest.raises(InvalidSet, match=f"state {n - 1} is not a unit vector"):
-            OrthogonalSet(tuple(BELL[: n - 1]) + (member,))
+    def test_rejected(self, n, bad, match):
+        with pytest.raises(InvalidSet, match=match.format(n - 1)):
+            OrthogonalSet(tuple(BELL[: n - 1]) + (PureState(bad(n)),))
 
     def test_shrunk_bell_triple_rejected(self):
         # concurrence scales with norm^2: unchecked, this set reads PerfectLocc with one
@@ -46,6 +43,11 @@ class TestNonUnitMembers:
         rows[5, 2] = (rows[5, 1] + rows[5, 2]) / math.sqrt(2)  # unit, but not orthogonal to 1
         with pytest.raises(InvalidSet, match=r"states 1 and 2 are not orthogonal .*7\.071e-01"):
             _check_orthogonal(rows, 1e-9)
+
+    def test_shared_bounds_read_only(self):
+        for shared in _gram_bounds(3, 1e-9):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 0
 
 
 class TestTolerances:
