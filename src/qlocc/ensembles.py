@@ -46,30 +46,26 @@ _DEFAULT_TOLERANCES = Tolerances()
 
 @functools.lru_cache(maxsize=16)  # 3 sizes x a few eps_orth
 def _gram_bounds(n: int, eps_orth: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix of n orthonormal members, and the bound on each entry's deviation;
-    read-only, since every caller shares them."""
+    """The Gram matrix of n orthonormal members and each entry's bound; shared, so read-only."""
     eye = np.eye(n, dtype=np.complex128)  # the Gram's dtype: subtracting it casts nothing
     bound = np.where(eye, EPS_ORTH, eps_orth)
-    eye.setflags(write=False)
-    bound.setflags(write=False)
+    eye.flags.writeable = bound.flags.writeable = False
     return eye, bound
 
 
-# as a decorator, errstate builds no context-manager object per call
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # a decorator builds no errstate per call
 def _check_orthogonal(amps: np.ndarray, eps_orth: float) -> None:
     """Raise InvalidSet unless the members of every stack (..., n, 4) are orthonormal: each
     |<i|j>| < eps_orth, and each |<i|i> - 1| < EPS_ORTH however small eps_orth is."""
     eye, bound = _gram_bounds(amps.shape[-2], eps_orth)
-    dev = np.vecdot(amps[..., None, :], amps[..., None, :, :])  # <i|j>, no conj() copy
-    dev -= eye
-    ok = abs(dev) < bound  # not >=, so NaN (a non-finite amplitude) fails
+    dev = abs(np.vecdot(amps[..., None, :], amps[..., None, :, :]) - eye)  # vecdot conjugates
+    ok = dev < bound  # not >=, so NaN (a non-finite amplitude) fails
     if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on a stack of one
         k = tuple(np.argwhere(~ok)[0])  # the first in row order: i <= j, up to rounding
         *_, i, j = k
         what, entry = (f"state {i} is not a unit vector", f"<{i}|{i}> - 1") if i == j else (
             f"states {i} and {j} are not orthogonal", f"<{i}|{j}>")
-        raise InvalidSet(f"{what} or not finite: |{entry}| = {abs(dev[k]):.3e}")
+        raise InvalidSet(f"{what} or not finite: |{entry}| = {dev[k]:.3e}")
 
 
 @dataclass(frozen=True)
