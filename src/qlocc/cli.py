@@ -250,7 +250,13 @@ def cmd_generate(family, lam1, lam3, seed, out):
             ens = generate_eq2(lam1)
             labels = ["Psi1", "Psi2", "Psi3"]
         elif family == "bell-triple":
-            ens = OrthogonalSet(tuple(map(make_state, ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]))))
+            ens = OrthogonalSet(
+                (
+                    make_state([1, 0, 0, 1]),
+                    make_state([1, 0, 0, -1]),
+                    make_state([0, 1, 1, 0]),
+                )
+            )
             labels = ["phi+", "phi-", "psi+"]
         else:
             ens = random_max_entangled_triple(seed)
