@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import OrthogonalSet
-from .errors import BadCardinality, BadDimension, BadGrid, ResolutionTooCoarse
+from .errors import BadCardinality, BadDimension, BadGrid, IndexOutOfRange, ResolutionTooCoarse
 from .products import Subspace
 from .states import PureState, make_state
 
 PENALTY = 1e3
+ROUNDS = 3  # local refinement rounds per candidate, each shrinking the window 4x
+THRESHOLD = 1e-6  # numerical zero of singular values, |det| and a witness's leak
 # Seeding uses a much gentler penalty: at coarse-cell distance from a true
 # witness the squared orthogonality leak is O(cell^2), and the full penalty
 # would bury the basin below witness-free zeros of the constraint determinant.
@@ -37,7 +39,7 @@ _TOP_K = 5
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and refinement schedule of the angle grids.
+    """Resolution of the angle grids.
 
     The identifiability oracle scans resolution**2 left-qubit Bloch angles per
     verdict (resolution polar by resolution azimuthal) and solves for the
@@ -46,14 +48,10 @@ class GridSpec:
     """
 
     resolution: int = 64
-    rounds: int = 3
-    threshold: float = 1e-6
 
     def __post_init__(self):
         if self.resolution < 8:
             raise BadGrid(f"resolution must be >= 8, got {self.resolution}")
-        if self.rounds < 1:
-            raise BadGrid("at least one refinement round is required")
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,24 @@ def _bloch(theta, phi):
     return np.stack(
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1
     )
+
+
+def _mesh(ax0, ax1):
+    """The grid ax0 x ax1 as two raveled angle arrays, ax0 varying slowest."""
+    return (g.ravel() for g in np.meshgrid(ax0, ax1, indexing="ij"))
+
+
+def _lm_root(f, x0, grad=None):
+    """Angles near x0 where the complex f vanishes: scipy's LM least squares on [Re f, Im f],
+    with the gradient of f as its Jacobian when given, else finite differences."""
+    from scipy.optimize import least_squares
+
+    def parts(z):
+        return [z.real, z.imag]
+
+    jac = "2-point" if grad is None else lambda x: parts(grad(x))
+    sol = least_squares(lambda x: parts(f(x)), x0=x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
+    return sol.x
 
 
 def _best_right_score(lefts, conj_mats, i, others):
@@ -104,9 +120,7 @@ def _coarse_candidates(conj_mats, i, others, grid):
     """Top scoring, mutually separated left-qubit angle pairs on the sphere."""
     theta = np.linspace(0.0, np.pi, grid.resolution)
     phi = np.linspace(0.0, 2.0 * np.pi, grid.resolution, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    t = tt.ravel()
-    p = pp.ravel()
+    t, p = _mesh(theta, phi)
     scores = _best_right_score(_bloch(t, p), conj_mats, i, others)
 
     # separation is measured between Bloch vectors, so the duplicated poles
@@ -127,9 +141,9 @@ def _refine(conj_mats, i, others, angles, grid):
     width = 2.0 * np.pi / (grid.resolution - 1)  # two polar steps of the coarse grid
     best = np.asarray(angles, dtype=float)
     sub = 9
-    for _ in range(grid.rounds):
+    for _ in range(ROUNDS):
         axes = [np.linspace(a - width, a + width, sub) for a in best]
-        gt, gp = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        gt, gp = _mesh(*axes)
         score = _best_right_score(_bloch(gt, gp), conj_mats, i, others)
         k = int(np.argmax(score))
         best = np.array([gt[k], gp[k]])
@@ -137,7 +151,7 @@ def _refine(conj_mats, i, others, angles, grid):
     return best
 
 
-def _polish(conj_mats, i, others, angles, grid):
+def _polish(conj_mats, i, others, angles):
     """Drive the orthogonality residual to machine precision.
 
     For a fixed left factor a the two orthogonality constraints on the right
@@ -145,11 +159,9 @@ def _polish(conj_mats, i, others, angles, grid):
     determinant of the stacked constraints vanishes; that determinant is
     root-found over the left-qubit angles.  The right factor is the unit
     vector of the constraints' numerical null space (singular values below
-    the grid threshold, at least one direction) with the largest target
-    overlap: where the stack vanishes it is the normalized conj(a M_i^*).
+    THRESHOLD, at least one direction) with the largest target overlap:
+    where the stack vanishes it is the normalized conj(a M_i^*).
     """
-    from scipy.optimize import least_squares
-
     mj, mk = conj_mats[others[0]], conj_mats[others[1]]
 
     def det_and_grad(x):
@@ -162,20 +174,10 @@ def _polish(conj_mats, i, others, angles, grid):
         grad = p[1:, 0] * q[0, 1] - p[1:, 1] * q[0, 0] + p[0, 0] * q[1:, 1] - p[0, 1] * q[1:, 0]
         return det, grad
 
-    def residual_fn(x):
-        d, _ = det_and_grad(x)
-        return [d.real, d.imag]
-
-    def jac_fn(x):
-        _, g = det_and_grad(x)
-        return [g.real, g.imag]
-
-    sol = least_squares(
-        residual_fn, x0=angles, jac=jac_fn, method="lm", xtol=1e-15, ftol=1e-15
-    )
-    a = _bloch(sol.x[0], sol.x[1])
+    x = _lm_root(lambda x: det_and_grad(x)[0], angles, lambda x: det_and_grad(x)[1])
+    a = _bloch(x[0], x[1])
     _, sing, vh = np.linalg.svd(np.stack([a @ mj, a @ mk]))
-    dim = max(1, int(np.sum(sing < grid.threshold)))
+    dim = max(1, int(np.sum(sing < THRESHOLD)))
     null = vh[-dim:].conj().T  # columns span the null space
     target = (a @ conj_mats[i]) @ null
     norm = np.linalg.norm(target)
@@ -183,11 +185,11 @@ def _polish(conj_mats, i, others, angles, grid):
     return make_state(np.outer(a, null @ coeffs).reshape(4))
 
 
-def _chefles_check(ensemble, i, witness, grid):
+def _chefles_check(ensemble, i, witness):
     others = [j for j in range(len(ensemble)) if j != i]
     leak = sum(abs(witness.overlap(ensemble[j])) ** 2 for j in others)
     overlap = abs(witness.overlap(ensemble[i]))
-    ok = leak < grid.threshold**2 and overlap > PENALTY * grid.threshold
+    ok = leak < THRESHOLD**2 and overlap > PENALTY * THRESHOLD
     return ok, leak, overlap
 
 
@@ -197,8 +199,8 @@ def _search(ensemble, i, grid):
     best = OracleVerdict(False, None, np.inf, 0.0)
     for cand in _coarse_candidates(conj_mats, i, others, grid):
         refined = _refine(conj_mats, i, others, cand, grid)
-        witness = _polish(conj_mats, i, others, refined, grid)
-        ok, leak, overlap = _chefles_check(ensemble, i, witness, grid)
+        witness = _polish(conj_mats, i, others, refined)
+        ok, leak, overlap = _chefles_check(ensemble, i, witness)
         if ok:
             return OracleVerdict(True, witness, leak, overlap)
         if overlap > best.overlap:
@@ -238,7 +240,7 @@ def oracle_identifiable(
     if len(ensemble) != 3:
         raise BadCardinality(f"oracle needs cardinality 3, got {len(ensemble)}")
     if not 0 <= i < 3:
-        raise BadCardinality(f"index {i} out of range")
+        raise IndexOutOfRange(f"index {i} outside ensemble of size 3")
     grid = grid or GridSpec()
     _calibrate(grid)
     return _search(ensemble, i, grid)
@@ -269,31 +271,18 @@ def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductS
     subspace where |det| is negligible everywhere is flagged AllProduct-
     suspect instead of enumerated.
     """
-    from scipy.optimize import least_squares
-
     if sub.dim != 2:
         raise BadDimension(f"expected dim 2, got {sub.dim}")
     grid = grid or GridSpec()
     t_ax = np.linspace(0.0, np.pi / 2.0, grid.resolution)
     p_ax = np.linspace(0.0, 2.0 * np.pi, grid.resolution, endpoint=False)
-    tt, pp = np.meshgrid(t_ax, p_ax, indexing="ij")
-    t = tt.ravel()
-    p = pp.ravel()
+    t, p = _mesh(t_ax, p_ax)
     dets = np.abs(_det_on_circle(sub, t, p))
 
-    if float(dets.max()) < grid.threshold:
+    if float(dets.max()) < THRESHOLD:
         return ProductScanResult(all_product_suspect=True, states=())
 
     u, v = sub.basis
-
-    def polish(t0, p0):
-        def fn(x):
-            d = _det_on_circle(sub, x[0], x[1])
-            return [d.real, d.imag]
-
-        sol = least_squares(fn, x0=[t0, p0], method="lm", xtol=1e-15, ftol=1e-15)
-        return sol.x
-
     coords = np.stack([np.cos(t) * np.ones_like(p), np.exp(1j * p) * np.sin(t)], axis=-1)
     found = []  # (projective coord 2-vector, state)
     masked = np.array(dets)
@@ -301,10 +290,10 @@ def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductS
         k = int(np.argmin(masked))
         if not np.isfinite(masked[k]):
             break
-        tk, pk = polish(t[k], p[k])
+        tk, pk = _lm_root(lambda x: _det_on_circle(sub, x[0], x[1]), [t[k], p[k]])
         a = np.cos(tk)
         b = np.exp(1j * pk) * np.sin(tk)
-        if abs(_det_on_circle(sub, tk, pk)) < grid.threshold:
+        if abs(_det_on_circle(sub, tk, pk)) < THRESHOLD:
             w = np.array([a, b])
             w = w / np.linalg.norm(w)
             if all(_projective_angle(w, w0) > 1e-4 for w0, _ in found):

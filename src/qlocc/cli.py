@@ -161,10 +161,12 @@ _SWEEP_BLOCK = 4096  # grid points per kernel call: bounds a sweep's memory at a
 def _sweep_records(lam1s, lam3s):
     """Sweep records of eq1 over lam1s x lam3s, or of eq2 over lam1s when lam3s is None."""
     names = [NonlocalityClass(label, 3).describe() for label in HierarchyLabel]
-    l1 = lam1s if lam3s is None else np.repeat(lam1s, len(lam3s))
-    l3 = None if lam3s is None else np.tile(lam3s, len(lam1s))
-    for start in range(0, len(l1), _SWEEP_BLOCK):
-        b1, b3 = (None if x is None else x[start : start + _SWEEP_BLOCK] for x in (l1, l3))
+    m = 1 if lam3s is None else len(lam3s)
+    points = len(lam1s) * m
+    for start in range(0, points, _SWEEP_BLOCK):
+        # point k is (lam1s[k // m], lam3s[k % m]): the product grid is never expanded
+        i1, i3 = divmod(np.arange(start, min(start + _SWEEP_BLOCK, points)), m)
+        b1, b3 = lam1s[i1], None if lam3s is None else lam3s[i3]
         rows = _family_rows(b1, b3)
         _check_orthogonal(rows, _DEFAULT_TOLERANCES.eps_orth)
         v = _decide(rows, _DEFAULT_TOLERANCES)

@@ -41,6 +41,7 @@ perfectly_distinguishable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -158,8 +159,12 @@ def _witness(ensemble: OrthogonalSet, v: _Verdicts, i: int) -> PureState | None:
         return None
     if v.conc[0, i] < ensemble.tolerances.eps_zero:
         return ensemble[i]
-    a, b = v.roots
-    return make_state(a[0, i] * ensemble[i].amps + b[0, i] * v.comp[0])
+    a, b = (complex(x[0, i]) for x in v.roots)
+    # scaled by a power of two so that max(|a|, |b|) lies in [1/2, 1): exact, and a root of
+    # tiny norm (a nearly product member nearly orthogonal to d~) clears make_state's cutoff
+    e = -math.frexp(max(abs(a), abs(b)))[1]
+    a, b = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in (a, b))
+    return make_state(a * ensemble[i].amps + b * v.comp[0])
 
 
 def _report(ensemble: OrthogonalSet, v: _Verdicts) -> IdentifiabilityReport:

@@ -18,7 +18,6 @@ from .states import (
     _concurrences,
     _entropies,
     _unit_rows,
-    make_state,
 )
 
 TAU_OVERLAP = 1e-7
@@ -115,9 +114,9 @@ def average_entanglement(ensemble: OrthogonalSet) -> float:
     return float(np.mean(_entropies(_concurrences(ensemble._rows)), axis=-1))
 
 
-def _row_set(rows: np.ndarray, tolerances: Tolerances = _DEFAULT_TOLERANCES) -> OrthogonalSet:
+def _row_set(rows: np.ndarray) -> OrthogonalSet:
     """OrthogonalSet of unit, phase-canonical rows (n, 4), such as one stack of _unit_rows."""
-    return OrthogonalSet(tuple(map(PureState, rows)), tolerances)
+    return OrthogonalSet(tuple(map(PureState, rows)))
 
 
 def _haar_unitaries(seeds) -> np.ndarray:
@@ -135,6 +134,5 @@ def _haar_rows(seeds, size: int) -> np.ndarray:
 
 
 def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:
-    """Seeded Haar-random orthonormal set: _haar_rows([seed], size) bit for bit, by make_state."""
-    q = _haar_unitaries([seed])[0]
-    return OrthogonalSet(tuple(make_state(q[:, k]) for k in range(size)))
+    """Seeded Haar-random orthonormal set: row 0 of _haar_rows([seed], size)."""
+    return _row_set(_haar_rows([seed], size)[0])

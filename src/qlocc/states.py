@@ -53,35 +53,36 @@ class PureState:
         return f"PureState([{terms}])"
 
 
-def make_state(amplitudes, eps_zero: float = EPS_ZERO) -> PureState:
+def make_state(amplitudes) -> PureState:
     """Normalize and phase-canonicalize four complex amplitudes.
 
-    Raises ZeroVector when the input norm is numerically zero, NonFiniteNorm
-    when it is NaN or overflows to infinity.
+    Raises ZeroVector when the input norm is at most EPS_ZERO, NonFiniteNorm
+    when it is NaN or overflows to infinity.  The cutoff is in amplitude units,
+    not a verdict tolerance: a document's eps_zero, a concurrence, never reaches it.
     """
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
     # vdot, unlike np.linalg.norm, overflows to inf without a RuntimeWarning
     norm = math.sqrt(np.vdot(a, a).real)
     if not math.isfinite(norm):
         raise NonFiniteNorm(f"amplitude vector norm {norm} is not finite")
-    if norm <= eps_zero:
+    if norm <= EPS_ZERO:
         raise ZeroVector(f"amplitude vector norm {norm:.3g} is numerically zero")
-    return PureState(_canonical_phase(a / norm, eps_zero))
+    return PureState(_canonical_phase(a / norm))
 
 
-def _unit_rows(amps: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray:
+def _unit_rows(amps: np.ndarray) -> np.ndarray:
     """make_state over a stack of amplitude rows (..., 4): the same checks, and the same bits
     (matmul's dot is vdot's, hypot is complex abs, and the phase is the scalar division)."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sqrt(np.matmul(amps.conj()[..., None, :], amps[..., :, None]).real[..., 0, 0])
     if not np.isfinite(norm).all():
         raise NonFiniteNorm("an amplitude vector norm is not finite")
-    if (norm <= eps_zero).any():
+    if (norm <= EPS_ZERO).any():
         raise ZeroVector(f"amplitude vector norm {norm.min():.3g} is numerically zero")
     a = amps / norm[..., None]
-    first = (np.hypot(a.real, a.imag) > eps_zero).argmax(axis=-1)[..., None]
+    first = (np.hypot(a.real, a.imag) > EPS_ZERO).argmax(axis=-1)[..., None]
     lead = np.take_along_axis(a, first, axis=-1)
-    factor = [abs(z) / z if abs(z) > eps_zero else 1.0 for z in lead.reshape(-1).tolist()]
+    factor = [abs(z) / z if abs(z) > EPS_ZERO else 1.0 for z in lead.reshape(-1).tolist()]
     return a * np.array(factor, dtype=np.complex128).reshape(lead.shape)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import UebVerdict, _decide, _ueb_verdict
-from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, Tolerances, _row_set
+from .ensembles import OrthogonalSet, _row_set
 from .errors import BadCardinality, BadParam
 from .states import PureState, _unit_rows, concurrence, is_product, make_state
 
@@ -87,7 +87,7 @@ def _family_rows(lam1: np.ndarray, lam3: np.ndarray | None = None) -> np.ndarray
     return _unit_rows(rows)
 
 
-def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) -> OrthogonalSet:
+def generate_eq1(params: GeneratorParams) -> OrthogonalSet:
     """Three orthogonal entangled states whose only orthogonal state is |11>.
 
     psi1 = sqrt(lam1)|01> + sqrt(lam2)|10>, and psi2/psi3 mix |00> with the
@@ -97,7 +97,7 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
     if params.lam3 is None:
         raise BadParam("this family needs both lam1 and lam3")
     rows = _family_rows(np.array(params.lam1), np.array(params.lam3))
-    ens = _row_set(rows, tolerances or _DEFAULT_TOLERANCES)
+    ens = _row_set(rows)
     if abs(concurrence(ens[0]) - 1.0) < 1e-9:
         warnings.warn(
             "lam1 = 1/2 makes the first member maximally entangled; the "
@@ -107,10 +107,10 @@ def generate_eq1(params: GeneratorParams, tolerances: Tolerances | None = None) 
     return ens
 
 
-def generate_eq2(lam1: float, tolerances: Tolerances | None = None) -> OrthogonalSet:
+def generate_eq2(lam1: float) -> OrthogonalSet:
     """The sibling family: |00> plus two entangled states in the |01>,|10> plane."""
     params = GeneratorParams(lam1)  # validates the range
-    return _row_set(_family_rows(np.array(params.lam1)), tolerances or _DEFAULT_TOLERANCES)
+    return _row_set(_family_rows(np.array(params.lam1)))
 
 
 def _random_orthogonal_matrix(rng: np.random.Generator) -> np.ndarray:

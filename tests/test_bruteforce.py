@@ -18,7 +18,7 @@ from qlocc import (
     oracle_product_scan,
     random_orthogonal_set,
 )
-from qlocc.errors import BadCardinality, BadGrid, QloccError
+from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
 GRID = GridSpec(resolution=32)
@@ -26,8 +26,8 @@ GRID = GridSpec(resolution=32)
 
 class TestGridSpec:
     def test_defaults(self):
-        g = GridSpec()
-        assert g.resolution == 64 and g.rounds == 3 and g.threshold == 1e-6
+        assert GridSpec().resolution == 64
+        assert qlocc.bruteforce.ROUNDS == 3 and qlocc.bruteforce.THRESHOLD == 1e-6
 
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestGridSpec:
         with pytest.raises(BadGrid):
             GridSpec(resolution=4)
         with pytest.raises(QloccError):
-            GridSpec(rounds=0)
+            GridSpec(resolution=7)
 
 
 class TestOracleIdentifiable:
@@ -77,6 +77,14 @@ class TestOracleIdentifiable:
     def test_wrong_cardinality(self, bell_basis):
         with pytest.raises(BadCardinality):
             oracle_identifiable(bell_basis, 0, GRID)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_out_of_range(self, bell_triple, i):
+        # the analytic engine raises the same error for the same index
+        with pytest.raises(IndexOutOfRange):
+            conclusively_identifiable(bell_triple, i)
+        with pytest.raises(IndexOutOfRange):
+            oracle_identifiable(bell_triple, i, GRID)
 
     def test_agreement_sample(self):
         for k in range(25):
@@ -170,12 +178,23 @@ assert "scipy.optimize" in sys.modules
 """
 
 
-def test_scipy_loads_only_with_the_oracle(tmp_path):
+def _fresh_interpreter(*args):
+    """Run python with args in a new process that imports this checkout's qlocc."""
     src = str(Path(qlocc.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_scipy_loads_only_with_the_oracle(tmp_path):
+    proc = _fresh_interpreter("-c", _COLD_START, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_imports_print_and_warn_nothing():
+    # a benchmark's last stdout line is its JSON result: importing qlocc must not print,
+    # and any warning, at import or at exit, is an error here
+    proc = _fresh_interpreter("-W", "error", "-c", "import qlocc, qlocc.cli, qlocc.verify, qlocc.io")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

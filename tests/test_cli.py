@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from qlocc import average_entanglement, classify
-from qlocc.cli import main
+from qlocc.cli import _sweep_records, main
 from qlocc.io import sweep_csv
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
@@ -194,6 +195,21 @@ def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
     got, want = out.read_text().split("\n"), sweep_csv(records).split("\n")
     k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     assert (got[k : k + 1], len(got)) == (want[k : k + 1], len(want)), f"line {k} differs"
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    """A sweep decides its grid in blocks: its first record costs as much memory at 2000x2000
+    as at 250x250 (expanding the whole grid first cost 60 MB more)."""
+    peaks = []
+    for steps in (250, 2000):
+        lam = np.linspace(0.001, 0.999, steps)
+        tracemalloc.start()
+        try:
+            next(_sweep_records(lam, lam))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e6, peaks
 
 
 def test_in_process_run_releases_stdout(tmp_path):

@@ -212,17 +212,36 @@ class TestClassify:
 
 
 class TestToleranceEdges:
-    @pytest.mark.parametrize("x", [7e-10, 9e-10])
-    def test_near_product_triple_classifies(self, x):
-        # member 0's witness plane has a determinant quadratic of scale x,
-        # between eps_zero/2 and eps_zero; this used to raise TypeError
-        ens = OrthogonalSet(
-            (make_state([1, 0, 0, x]), make_state([0, 0, 1, 0]), make_state([x, 0, 0, -1]))
-        )
+    @pytest.mark.parametrize(
+        "members, identifiable",
+        [
+            # member 0's witness plane has a determinant quadratic of scale x,
+            # between eps_zero/2 and eps_zero; this used to raise TypeError
+            *(
+                pytest.param(([1, 0, 0, x], [0, 0, 1, 0], [x, 0, 0, -1]), [False, True, False],
+                             id=str(x))
+                for x in (7e-10, 9e-10)
+            ),
+            # member 0 (C = 1.5e-9) decides on the root a psi_0 + b d of norm 7.6e-10, below
+            # make_state's zero cutoff; classify and the CLI used to raise ZeroVector
+            pytest.param(([1e-10, 1, 7.5e-10, 0], [1, -1e-10, 0, 0], [0, 7.5e-10, -1, 0]),
+                         [True, True, False], id="tiny-root"),
+        ],
+    )
+    def test_near_product_triple_classifies(self, tmp_path, members, identifiable):
+        ens = OrthogonalSet(tuple(map(make_state, members)))
         cls, report = classify(ens)
         assert ens.entangled_count() == 2
-        assert cls.label is HierarchyLabel.TWO_UNIDENTIFIABLE
-        assert [v.identifiable for v in report.per_state] == [False, True, False]
+        assert cls.label is HierarchyLabel(1 + identifiable.count(False))
+        assert [v.identifiable for v in report.per_state] == identifiable
+        for i, v in enumerate(report.per_state):
+            assert conclusively_identifiable(ens, i)[0] == v.identifiable
+            if v.identifiable:
+                assert_chefles(ens, i, v.witness)
+        doc = tmp_path / "edge.json"
+        doc.write_text(json.dumps({"states": [[[x, 0] for x in m] for m in members]}))
+        res = CliRunner().invoke(main, ["classify", str(doc), "--json", "-"])
+        assert res.exit_code == 0, res.output
 
     def test_set_eps_zero_reaches_witness_search(self):
         # at eps_zero = 1e-6 every member is product, so perfect implies

@@ -103,7 +103,7 @@ class TestTolerances:
 class TestSeededDraw:
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_rows_pinned_and_stacked(self, size):
-        # the per-seed construction random_orthogonal_set has always used, written out
+        # the per-seed reference: one QR per seed, then make_state on each column
         seeds = [0, 1, 7, 2024, 20240901, 2**32 + 5]
         stacked = _haar_rows(seeds, size)
         assert stacked.shape == (len(seeds), size, 4)
