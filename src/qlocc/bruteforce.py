@@ -8,17 +8,20 @@ constraints have a nonzero null vector (the existence law of Sanpera, Tarrach
 and Vidal, PRA 58, 826 (1998)).  The scan therefore covers the left sphere
 only: at each left grid point the best right factor is scored exactly, as the
 largest eigenvalue of a 2x2 Hermitian score form.  The best left points are
-refined locally and polished by a root find of the constraint determinant,
-and the right factor is then read off the constraints' null space.  Product
-enumeration scans |det| of the coefficient matrix, built point by point,
-over the projective parameterization of a 2-D subspace.
+refined locally and polished by a Levenberg-Marquardt root find of the
+constraint determinant, with its analytic gradient, and the right factor is
+then read off the constraints' null space.  Product enumeration scans |det|
+of the coefficient matrix, built point by point, over the projective
+parameterization of a 2-D subspace, and polishes its minima the same way.
 Built to over- rather than under-report disagreement: grids are calibrated on
 certified-positive cases and abort when too coarse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +38,8 @@ THRESHOLD = 1e-6  # numerical zero of singular values, |det| and a witness's lea
 # would bury the basin below witness-free zeros of the constraint determinant.
 SEED_PENALTY = 10.0
 _TOP_K = 5
+_XTOL = 1e-15  # _lm_root stops on a step at most _XTOL (_XTOL + |x|)
+_MAX_EVALS = 200  # evaluations per root find: 100 per unknown
 
 
 @dataclass(frozen=True)
@@ -82,17 +87,61 @@ def _mesh(ax0, ax1):
     return (g.ravel() for g in np.meshgrid(ax0, ax1, indexing="ij"))
 
 
-def _lm_root(f, x0, grad=None):
-    """Angles near x0 where the complex f vanishes: scipy's LM least squares on [Re f, Im f],
-    with the gradient of f as its Jacobian when given, else finite differences."""
-    from scipy.optimize import least_squares
+def _pencil_det(a, b, t, ph):
+    """det(cos t A + e^{i ph} sin t B) and its derivatives in t and ph.
 
-    def parts(z):
-        return [z.real, z.imag]
+    A and B are 2x2 complex matrices given as flat (m00, m01, m10, m11)
+    sequences of Python scalars.  The determinant is bilinear in the two rows,
+    so along a change dX of the matrix M it changes by
+    dX00 M11 + M00 dX11 - dX01 M10 - M01 dX10; M's derivatives are
+    -sin t A + e^{i ph} cos t B and i e^{i ph} sin t B.
+    """
+    c, s, e = math.cos(t), math.sin(t), complex(math.cos(ph), math.sin(ph))
+    es = e * s
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    m00, m01 = c * a00 + es * b00, c * a01 + es * b01
+    m10, m11 = c * a10 + es * b10, c * a11 + es * b11
+    along_a = a00 * m11 + m00 * a11 - a01 * m10 - m01 * a10
+    along_b = b00 * m11 + m00 * b11 - b01 * m10 - m01 * b10
+    return m00 * m11 - m01 * m10, e * c * along_b - s * along_a, 1j * es * along_b
 
-    jac = "2-point" if grad is None else lambda x: parts(grad(x))
-    sol = least_squares(lambda x: parts(f(x)), x0=x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
-    return sol.x
+
+def _lm_root(f_and_grad, x0):
+    """Angles (t, p) near x0 where a complex f vanishes: Levenberg-Marquardt on [Re f, Im f].
+
+    f_and_grad(t, p) returns f and its derivatives in t and p, so each trial
+    point costs one evaluation.  Each step solves the 2x2 damped normal
+    equations (J^T J + lam tr(J^T J) I) dx = -J^T [Re f, Im f] in closed
+    form.  A step is taken only if it lowers |f|, and lam then falls 4x;
+    otherwise lam rises 4x.  The search stops only when f is exactly 0, when
+    a step, taken or not, is at most _XTOL (_XTOL + |x|), or after
+    _MAX_EVALS evaluations; never on a bound on |f|.  At a double root |f|
+    is quadratic in the distance and the steps shrink only linearly, so a
+    bound on |f| would stop short of the root.
+    """
+    t, p = float(x0[0]), float(x0[1])
+    f, ft, fp = f_and_grad(t, p)
+    lam = 1e-3
+    for _ in range(_MAX_EVALS - 1):
+        a, b, c = abs(ft) ** 2, (ft.conjugate() * fp).real, abs(fp) ** 2
+        damp = lam * (a + c)
+        det = (a + damp) * (c + damp) - b * b
+        if f == 0 or det == 0:  # a root, or no direction that lowers |f|
+            break
+        gt, gp = (ft.conjugate() * f).real, (fp.conjugate() * f).real
+        dt = (b * gp - (c + damp) * gt) / det
+        dp = (b * gt - (a + damp) * gp) / det
+        trial = f_and_grad(t + dt, p + dp)
+        if abs(trial[0]) < abs(f):
+            t, p = t + dt, p + dp
+            f, ft, fp = trial
+            lam /= 4.0
+        else:
+            lam *= 4.0
+        if math.hypot(dt, dp) <= _XTOL * (_XTOL + math.hypot(t, p)):
+            break
+    return t, p
 
 
 def _best_right_score(lefts, conj_mats, i, others):
@@ -157,24 +206,26 @@ def _polish(conj_mats, i, others, angles):
     For a fixed left factor a the two orthogonality constraints on the right
     factor are linear, so a nonzero solution exists exactly where the 2x2
     determinant of the stacked constraints vanishes; that determinant is
-    root-found over the left-qubit angles.  The right factor is the unit
+    root-found over the left-qubit angles by _lm_root, with its analytic
+    gradient.  The root find stops only when the determinant is exactly 0,
+    when a step is at most _XTOL (_XTOL + |angles|), or after _MAX_EVALS
+    evaluations, never on a bound on |det|.  The right factor is the unit
     vector of the constraints' numerical null space (singular values below
     THRESHOLD, at least one direction) with the largest target overlap:
     where the stack vanishes it is the normalized conj(a M_i^*).
     """
     mj, mk = conj_mats[others[0]], conj_mats[others[1]]
+    # the stacked constraints (a M_j^*, a M_k^*) at a = (cos theta/2, e^{i phi} sin theta/2)
+    # are cos(theta/2) A + e^{i phi} sin(theta/2) B, with A and B the first and
+    # second rows of M_j^* and M_k^*
+    (j0, j1), (k0, k1) = mj.tolist(), mk.tolist()
+    first, second = j0 + k0, j1 + k1
 
-    def det_and_grad(x):
-        # rows of p and q: the two constraints at a, then their derivatives
-        # in theta and phi (the determinant is bilinear in its two rows)
-        c, s, e = np.cos(x[0] / 2.0), np.sin(x[0] / 2.0), np.exp(1j * x[1])
-        rows = np.array([[c, e * s], [-s / 2.0, e * c / 2.0], [0.0, 1j * e * s]])
-        p, q = rows @ mj, rows @ mk
-        det = p[0, 0] * q[0, 1] - p[0, 1] * q[0, 0]
-        grad = p[1:, 0] * q[0, 1] - p[1:, 1] * q[0, 0] + p[0, 0] * q[1:, 1] - p[0, 1] * q[1:, 0]
-        return det, grad
+    def det_and_grad(theta, phi):
+        det, d_half, d_phi = _pencil_det(first, second, theta / 2.0, phi)
+        return det, d_half / 2.0, d_phi
 
-    x = _lm_root(lambda x: det_and_grad(x)[0], angles, lambda x: det_and_grad(x)[1])
+    x = _lm_root(det_and_grad, angles)
     a = _bloch(x[0], x[1])
     _, sing, vh = np.linalg.svd(np.stack([a @ mj, a @ mk]))
     dim = max(1, int(np.sum(sing < THRESHOLD)))
@@ -283,6 +334,7 @@ def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductS
         return ProductScanResult(all_product_suspect=True, states=())
 
     u, v = sub.basis
+    det_and_grad = partial(_pencil_det, u.amps.tolist(), v.amps.tolist())
     coords = np.stack([np.cos(t) * np.ones_like(p), np.exp(1j * p) * np.sin(t)], axis=-1)
     found = []  # (projective coord 2-vector, state)
     masked = np.array(dets)
@@ -290,7 +342,7 @@ def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductS
         k = int(np.argmin(masked))
         if not np.isfinite(masked[k]):
             break
-        tk, pk = _lm_root(lambda x: _det_on_circle(sub, x[0], x[1]), [t[k], p[k]])
+        tk, pk = _lm_root(det_and_grad, (t[k], p[k]))
         a = np.cos(tk)
         b = np.exp(1j * pk) * np.sin(tk)
         if abs(_det_on_circle(sub, tk, pk)) < THRESHOLD:

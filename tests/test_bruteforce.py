@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from qlocc import (
     oracle_product_scan,
     random_orthogonal_set,
 )
+from qlocc.bruteforce import _lm_root, _pencil_det
 from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
+from qlocc.verify import _EQ1_LAMS, _EQ1_POINTS, _FAMILY_GRID, _family_rows, _sets
 
 GRID = GridSpec(resolution=32)
 
@@ -118,6 +122,56 @@ class TestOracleIdentifiable:
                     assert oracle_identifiable(rotated, i, GRID).identifiable == analytic[i]
 
 
+def test_polish_converges_on_the_family_grids():
+    # the hidden members of both families: their best candidate's witness is
+    # orthogonal to the member itself only once its polish has reached the root
+    # (a double root for eq1), so an under-converged polish leaves overlap behind
+    eq1, eq2 = _sets(_family_rows(*_EQ1_LAMS)), _sets(_family_rows(_FAMILY_GRID))
+    cases = [(f"eq1 {point}", ens, 0) for point, ens in zip(_EQ1_POINTS, eq1)]
+    cases += [(f"eq2 {l1:.2f}", ens, i) for l1, ens in zip(_FAMILY_GRID, eq2) for i in (1, 2)]
+    for name, ens, i in cases:
+        verdict = oracle_identifiable(ens, i, GRID)
+        if verdict.identifiable:
+            assert verdict.residual < 1e-24, (name, i, verdict.residual)
+        else:
+            assert verdict.overlap < 1e-9, (name, i, verdict.overlap)
+
+
+class TestLmRoot:
+    def test_simple_root(self):
+        t0, p0 = 0.7, 2.1
+        target = cmath.exp(1j * p0) * math.sin(t0)
+
+        def f_and_grad(t, p):
+            e = cmath.exp(1j * p)
+            return e * math.sin(t) - target, e * math.cos(t), 1j * e * math.sin(t)
+
+        t, p = _lm_root(f_and_grad, (0.9, 1.8))
+        assert math.hypot(t - t0, p - p0) < 1e-14
+
+    def test_double_root(self):
+        # |f| is quadratic in the distance, so the steps shrink only linearly:
+        # a solver that stops on a loose step or |f| bound ends far above 1e-24
+        t0, p0 = 1.3, 0.4
+
+        def f_and_grad(t, p):
+            z = (t - t0) + 1j * (p - p0)
+            return z * z, 2 * z, 2j * z
+
+        t, p = _lm_root(f_and_grad, (t0 + 6e-3, p0 - 8e-3))
+        assert abs(f_and_grad(t, p)[0]) <= 1e-24
+
+    def test_pencil_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(4)
+        a, b = ((rng.normal(size=4) + 1j * rng.normal(size=4)).tolist() for _ in range(2))
+        t, p, h = 0.8, 2.5, 1e-6
+        _, dt, dp = _pencil_det(a, b, t, p)
+        for analytic, step in ((dt, (h, 0.0)), (dp, (0.0, h))):
+            hi = _pencil_det(a, b, t + step[0], p + step[1])[0]
+            lo = _pencil_det(a, b, t - step[0], p - step[1])[0]
+            assert abs(analytic - (hi - lo) / (2 * h)) < 1e-8
+
+
 def _basis_triple():
     return OrthogonalSet(tuple(make_state(a) for a in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])))
 
@@ -146,7 +200,7 @@ class TestOracleProductScan:
         assert oracle_product_scan(sub, GRID).all_product_suspect
 
 
-# Runs in a fresh interpreter: the test process has long since imported scipy.
+# Runs in a fresh interpreter, so that nothing the test process imported counts.
 _COLD_START = """
 import sys
 from pathlib import Path
@@ -167,14 +221,15 @@ for args in (
 ):
     res = CliRunner().invoke(qlocc.cli.main, args)
     assert res.exit_code == 0, (args, res.output)
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 
-triple = qlocc.OrthogonalSet(
-    tuple(qlocc.make_state(a) for a in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0)))
+phi_plus, phi_minus, psi_plus = (
+    qlocc.make_state(a) for a in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0))
 )
 grid = qlocc.GridSpec(resolution=32)
+triple = qlocc.OrthogonalSet((phi_plus, phi_minus, psi_plus))
 assert qlocc.oracle_identifiable(triple, 0, grid).identifiable
-assert "scipy.optimize" in sys.modules
+assert len(qlocc.oracle_product_scan(qlocc.Subspace((phi_plus, psi_plus)), grid).states) == 2
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
@@ -188,7 +243,7 @@ def _fresh_interpreter(*args):
     )
 
 
-def test_scipy_loads_only_with_the_oracle(tmp_path):
+def test_scipy_never_loads(tmp_path):
     proc = _fresh_interpreter("-c", _COLD_START, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
 
