@@ -84,7 +84,7 @@ def _bloch(theta, phi):
 
 def _mesh(ax0, ax1):
     """The grid ax0 x ax1 as two raveled angle arrays, ax0 varying slowest."""
-    return (g.ravel() for g in np.meshgrid(ax0, ax1, indexing="ij"))
+    return np.repeat(ax0, len(ax1)), np.tile(ax1, len(ax0))
 
 
 def _pencil_det(a, b, t, ph):

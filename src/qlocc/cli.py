@@ -16,7 +16,7 @@ import numpy as np
 from .discrimination import HierarchyLabel, NonlocalityClass, _decide, classify
 from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, _check_orthogonal, average_entanglement
 from .errors import BadBounds, BadParam, QloccError
-from .io import _SWEEP_HEADER, _sweep_row, amplitude_pairs, emit_document, parse_document
+from .io import _SWEEP_HEADER, _sweep_rows, amplitude_pairs, emit_document, parse_document
 from .states import _entropies, entanglement_profile, make_state
 from .ueb import (
     GeneratorParams,
@@ -158,9 +158,12 @@ def _parse_grid(spec: str):
 _SWEEP_BLOCK = 4096  # grid points per kernel call: bounds a sweep's memory at any size
 
 
-def _sweep_records(lam1s, lam3s):
-    """Sweep records of eq1 over lam1s x lam3s, or of eq2 over lam1s when lam3s is None."""
+def _sweep_blocks(lam1s, lam3s):
+    """The CSV rows of eq1 over lam1s x lam3s, or of eq2 over lam1s when lam3s is None: one
+    string per block of _SWEEP_BLOCK points, with the set of classes in the block."""
     names = [NonlocalityClass(label, 3).describe() for label in HierarchyLabel]
+    # the unidentifiable field of each hidden mask, indexed by h0 + 2 h1 + 4 h2
+    fields = [";".join(str(i) for i in range(3) if k >> i & 1) for k in range(8)]
     m = 1 if lam3s is None else len(lam3s)
     points = len(lam1s) * m
     for start in range(0, points, _SWEEP_BLOCK):
@@ -172,11 +175,9 @@ def _sweep_records(lam1s, lam3s):
         v = _decide(rows, _DEFAULT_TOLERANCES)
         avg = np.mean(_entropies(v.conc), axis=-1).tolist()
         lam3 = [None] * len(b1) if b3 is None else b3.tolist()
-        columns = zip(b1.tolist(), lam3, v.labels.tolist(), v.hidden.tolist(), avg, v.ueb.tolist())
-        for x1, x3, label, hidden, avg_ent, ueb in columns:
-            yield {"lambda1": x1, "lambda3": x3, "class": names[label],
-                   "unidentifiable": [i for i, h in enumerate(hidden) if h],
-                   "avg_entanglement": avg_ent, "is_ueb": ueb}
+        classes = [names[label] for label in v.labels.tolist()]
+        bad = [fields[k] for k in (v.hidden @ np.array([1, 2, 4])).tolist()]
+        yield _sweep_rows(zip(b1.tolist(), lam3, classes, bad, avg, v.ueb.tolist())), set(classes)
 
 
 @main.command("sweep")
@@ -193,13 +194,12 @@ def cmd_sweep(family, grid, grid_l3, out):
         lam3s = _parse_grid(grid_l3) if grid_l3 else lam1s
     except BadBounds as exc:
         _fail_input(str(exc))
-    classes, points = set(), 0
+    classes, points = set(), len(lam1s) * (len(lam3s) if family == "eq1" else 1)
     with _open_out(out, newline="") as fh:
         fh.write(_SWEEP_HEADER)
-        for rec in _sweep_records(lam1s, lam3s if family == "eq1" else None):
-            fh.write(_sweep_row(rec))
-            classes.add(rec["class"])
-            points += 1
+        for text, block_classes in _sweep_blocks(lam1s, lam3s if family == "eq1" else None):
+            fh.write(text)
+            classes |= block_classes
     uniform = "uniform" if len(classes) == 1 else "MIXED"
     _echo(f"{points} grid points -> {out}; classes {uniform}: {', '.join(sorted(classes))}")
 

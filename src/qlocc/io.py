@@ -102,21 +102,23 @@ def emit_document(ensemble: OrthogonalSet, labels=None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 _SWEEP_HEADER = "lambda1,lambda3,class,unidentifiable,avg_entanglement,is_ueb\n"
 
 
-def _sweep_row(rec) -> str:
-    lam3 = _fmt(rec["lambda3"]) if rec["lambda3"] is not None else ""
-    bad = ";".join(str(i) for i in rec["unidentifiable"])
-    ueb = "true" if rec["is_ueb"] else "false"
-    avg = _fmt(rec["avg_entanglement"])
-    return f"{_fmt(rec['lambda1'])},{lam3},{rec['class']},{bad},{avg},{ueb}\n"
+def _sweep_rows(points) -> str:
+    """CSV rows of sweep points (lambda1, lambda3 or None, class, unidentifiable field, average
+    entanglement, is_ueb), the floats to 12 significant digits: the one sweep row format."""
+    return "".join([
+        f"{x1:.12g},{'' if x3 is None else format(x3, '.12g')},{cls},{bad},{avg:.12g},"
+        f"{'true' if ueb else 'false'}\n"
+        for x1, x3, cls, bad, avg, ueb in points
+    ])
 
 
 def sweep_csv(records) -> str:
     """Render sweep records with deterministic, byte-stable formatting."""
-    return _SWEEP_HEADER + "".join(_sweep_row(rec) for rec in records)
+    return _SWEEP_HEADER + _sweep_rows(
+        (rec["lambda1"], rec["lambda3"], rec["class"],
+         ";".join(str(i) for i in rec["unidentifiable"]), rec["avg_entanglement"], rec["is_ueb"])
+        for rec in records
+    )

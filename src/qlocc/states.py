@@ -72,7 +72,7 @@ def make_state(amplitudes) -> PureState:
 
 def _unit_rows(amps: np.ndarray) -> np.ndarray:
     """make_state over a stack of amplitude rows (..., 4): the same checks, and the same bits
-    (matmul's dot is vdot's, hypot is complex abs, and the phase is the scalar division)."""
+    (matmul's dot is vdot's, hypot is complex abs, and _phase_factors divides as Python does)."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sqrt(np.matmul(amps.conj()[..., None, :], amps[..., :, None]).real[..., 0, 0])
     if not np.isfinite(norm).all():
@@ -82,8 +82,35 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     a = amps / norm[..., None]
     first = (np.hypot(a.real, a.imag) > EPS_ZERO).argmax(axis=-1)[..., None]
     lead = np.take_along_axis(a, first, axis=-1)
-    factor = [abs(z) / z if abs(z) > EPS_ZERO else 1.0 for z in lead.reshape(-1).tolist()]
-    return a * np.array(factor, dtype=np.complex128).reshape(lead.shape)
+    return a * _phase_factors(lead.reshape(-1)).reshape(lead.shape)
+
+
+# Stacks of at least this many rows take the column form of _phase_factors, _dets and
+# _concurrences; smaller ones, classify's stack of one among them, loop over Python complex
+# numbers, which costs less below it.  Both forms give the same bits.
+_STACK_MIN = 32
+
+
+def _phase_factors(z: np.ndarray) -> np.ndarray:
+    """_canonical_phase's factor |z| / z of each lead z (N,), or 1 where |z| <= EPS_ZERO."""
+    if len(z) < _STACK_MIN:
+        factor = [abs(w) / w if abs(w) > EPS_ZERO else 1.0 for w in z.tolist()]
+        return np.array(factor, dtype=np.complex128)
+    # CPython's _Py_c_quot of (r, 0.0) by (br, bi), both branches, with its exact operations
+    r, br, bi = np.hypot(z.real, z.imag), z.real, z.imag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = bi / br  # |br| >= |bi|
+        denom = br + bi * ratio
+        re1, im1 = (r + 0.0 * ratio) / denom, (0.0 - r * ratio) / denom
+        ratio = br / bi  # |bi| > |br|
+        denom = br * ratio + bi
+        re2, im2 = (r * ratio + 0.0) / denom, (0.0 * ratio - r) / denom
+    by_real = np.abs(br) >= np.abs(bi)
+    keep = r > EPS_ZERO
+    factor = np.empty(z.shape, dtype=np.complex128)
+    factor.real = np.where(keep, np.where(by_real, re1, re2), 1.0)
+    factor.imag = np.where(keep, np.where(by_real, im1, im2), 0.0)
+    return factor
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
@@ -101,16 +128,35 @@ def concurrence(s: PureState) -> float:
     return _concurrence(*s.amps.tolist())
 
 
+def _det_parts(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ad - bc of each row of a stack (N, 4) of _STACK_MIN or
+    more rows, by CPython's complex product and difference (_Py_c_prod, _Py_c_diff) in
+    separate float64 operations.  numpy's complex product may fuse them (FMA) and round
+    differently."""
+    ar, ai, br, bi, cr, ci, dr, di = np.ascontiguousarray(amps).view(np.float64).T
+    return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
+
+
 def _dets(amps: np.ndarray) -> np.ndarray:
-    """det M = ad - bc of each row of a stack (..., 4), in concurrence's arithmetic."""
-    dets = [a * d - b * c for a, b, c, d in amps.reshape(-1, 4).tolist()]
-    return np.array(dets, dtype=np.complex128).reshape(amps.shape[:-1])
+    """det M = ad - bc of each row of a stack (..., 4), in concurrence's arithmetic: Python
+    complex numbers below _STACK_MIN rows, _det_parts from there, with the same bits."""
+    rows = amps.reshape(-1, 4)
+    if len(rows) < _STACK_MIN:
+        dets = [a * d - b * c for a, b, c, d in rows.tolist()]
+        return np.array(dets, dtype=np.complex128).reshape(amps.shape[:-1])
+    dets = np.empty(len(rows), dtype=np.complex128)
+    dets.real, dets.imag = _det_parts(rows)
+    return dets.reshape(amps.shape[:-1])
 
 
 def _concurrences(amps: np.ndarray) -> np.ndarray:
     """concurrence of each row of a stack (..., 4), bit for bit."""
-    conc = [_concurrence(*row) for row in amps.reshape(-1, 4).tolist()]
-    return np.array(conc).reshape(amps.shape[:-1])
+    rows = amps.reshape(-1, 4)
+    if len(rows) < _STACK_MIN:
+        conc = [_concurrence(*row) for row in rows.tolist()]
+        return np.array(conc).reshape(amps.shape[:-1])
+    conc = 2.0 * np.hypot(*_det_parts(rows))  # complex abs is hypot
+    return np.where(conc < 1.0, conc, 1.0).reshape(amps.shape[:-1])  # min(1.0, conc)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from qlocc import average_entanglement, classify
-from qlocc.cli import _sweep_records, main
+from qlocc.cli import _sweep_blocks, main
 from qlocc.io import sweep_csv
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 
@@ -167,6 +167,7 @@ _LAM1_HALF = pytest.mark.filterwarnings("ignore::qlocc.ueb.MaximalEntanglementWa
         pytest.param("eq1", "0.05:0.95:19", marks=_LAM1_HALF),
         pytest.param("eq1", "0.001:0.999:23", marks=_LAM1_HALF),
         ("eq2", "0.001:0.999:400"),
+        ("eq2", "0.001:0.999:4100"),  # two blocks: the seam at point 4,096
     ],
 )
 def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
@@ -205,7 +206,7 @@ def test_sweep_memory_does_not_grow_with_the_grid():
         lam = np.linspace(0.001, 0.999, steps)
         tracemalloc.start()
         try:
-            next(_sweep_records(lam, lam))
+            next(_sweep_blocks(lam, lam))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -14,8 +15,19 @@ from qlocc import (
     random_orthogonal_set,
     states_equal_up_to_phase,
 )
+from qlocc.discrimination import _decide
+from qlocc.ensembles import _DEFAULT_TOLERANCES, _haar_unitaries
 from qlocc.errors import NonFiniteNorm, ZeroVector
-from qlocc.states import _concurrences, _dets, _entropies, _unit_rows
+from qlocc.states import (
+    _STACK_MIN,
+    EPS_ZERO,
+    _concurrences,
+    _dets,
+    _entropies,
+    _phase_factors,
+    _unit_rows,
+)
+from qlocc.ueb import _family_rows
 
 from conftest import SQ2, random_states
 
@@ -115,9 +127,10 @@ def _mixed_rows(seed, n=2000):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     rows *= 10.0 ** rng.uniform(-4, 4, size=(n, 1))
-    rows[: n // 8, 0] = 1e-10 * rows[: n // 8, 1]
-    rows[n // 8 : n // 4, 0] = -rng.uniform(size=n // 8)
-    rows[n // 4 : 3 * n // 8, 0] = 1j * rng.uniform(size=n // 8)
+    k = n // 8
+    rows[:k, 0] = 1e-10 * rows[:k, 1]
+    rows[k : 2 * k, 0] = -rng.uniform(size=k)
+    rows[2 * k : 3 * k, 0] = 1j * rng.uniform(size=k)
     return rows
 
 
@@ -169,6 +182,97 @@ class TestStackedKernelsBitIdentical:
             ens = random_orthogonal_set(25_000 + k, size=2 + k % 3)
             ref = float(np.mean([scalar_entropy(concurrence(s)) for s in ens.states]))
             assert average_entanglement(ens) == ref
+
+
+def _edge_parts():
+    """Signed zeros, equal moduli and values on either side of EPS_ZERO: the parts where the
+    quotient's branch, a zero's sign or the cutoff could go either way."""
+    below, above = np.nextafter(EPS_ZERO, 0.0), np.nextafter(EPS_ZERO, 1.0)
+    return np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, below, EPS_ZERO, above, -above, 3e-5])
+
+
+def _edge_leads():
+    """Every complex number whose real and imaginary parts are both edge parts."""
+    parts = _edge_parts()
+    leads = np.empty((len(parts), len(parts)), dtype=np.complex128)
+    leads.real, leads.imag = parts[:, None], parts[None, :]
+    return leads.reshape(-1)
+
+
+def _edge_rows(seed, n=4000):
+    """Unit rows led by each edge lead (then 1, so that the lead is not rescaled), and rows
+    whose eight parts are all edge parts."""
+    leads = _edge_leads()
+    led = np.zeros((len(leads), 4), dtype=np.complex128)
+    led[:, 0], led[:, 1] = leads, 1.0
+    parts = np.random.default_rng(seed).choice(_edge_parts(), size=(n, 8))
+    return np.concatenate([led, parts.view(np.complex128)])
+
+
+def _both_forms(monkeypatch, kernel, *args):
+    """kernel(*args) through the per-row form and through the column form, at any size."""
+    monkeypatch.setattr("qlocc.states._STACK_MIN", sys.maxsize)
+    per_row = kernel(*args)
+    monkeypatch.setattr("qlocc.states._STACK_MIN", 0)
+    return per_row, kernel(*args)
+
+
+def _assert_same_bits(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")  # the column form's unused quotient branch stays silent
+class TestKernelFormsBitIdentical:
+    """The column forms of the stacked kernels give the per-row forms' bits, so the
+    stack size that picks a form can never move a verdict or a sweep CSV digit."""
+
+    @pytest.mark.parametrize("kernel", [_dets, _concurrences, _unit_rows])
+    @pytest.mark.parametrize("n", [_STACK_MIN - 1, _STACK_MIN, 200_000])
+    def test_mixed_rows(self, monkeypatch, kernel, n):
+        rows = _mixed_rows(31, n)
+        per_row, columns = _both_forms(monkeypatch, kernel, rows)
+        _assert_same_bits(per_row, columns)
+        monkeypatch.undo()
+        _assert_same_bits(kernel(rows), per_row)
+
+    @pytest.mark.parametrize("kernel", [_dets, _concurrences, _unit_rows])
+    def test_edge_rows(self, monkeypatch, kernel):
+        _assert_same_bits(*_both_forms(monkeypatch, kernel, _edge_rows(32)))
+
+    def test_nan_concurrence_is_one(self, monkeypatch):
+        """min(1.0, nan) is 1.0 in Python, where np.minimum would give nan."""
+        rows = np.ones((_STACK_MIN, 4), dtype=np.complex128)
+        rows[:, 1] = np.nan
+        per_row, columns = _both_forms(monkeypatch, _concurrences, rows)
+        _assert_same_bits(per_row, columns)
+        assert (columns == 1.0).all()
+
+    def test_edge_phase_factors(self, monkeypatch):
+        leads = _edge_leads()
+        per_row, columns = _both_forms(monkeypatch, _phase_factors, leads)
+        _assert_same_bits(per_row, columns)
+        assert (per_row[np.abs(leads) <= EPS_ZERO] == 1.0).all()
+
+    @pytest.mark.parametrize("kernel", [_dets, _concurrences, _unit_rows])
+    def test_haar_bases(self, monkeypatch, kernel):
+        bases = _haar_unitaries(range(5000))  # (5000, 4, 4): 20,000 rows
+        _assert_same_bits(*_both_forms(monkeypatch, kernel, bases))
+
+    def test_eq1_grid_blocks(self, monkeypatch):
+        """The eq1 400x400 grid in the sweep's 4,096-point blocks: the rows, and every
+        array _decide returns (member and complement dets and concurrences inside)."""
+        lam = np.linspace(0.001, 0.999, 400)
+        for start in range(0, 400 * 400, 4096):
+            k = np.arange(start, min(start + 4096, 400 * 400))
+            per_row, columns = _both_forms(monkeypatch, _family_rows, lam[k // 400], lam[k % 400])
+            _assert_same_bits(per_row, columns)
+            verdicts = _both_forms(monkeypatch, _decide, per_row, _DEFAULT_TOLERANCES)
+            for a, b in zip(*verdicts):
+                for x, y in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+                    np.testing.assert_array_equal(x, y)  # labels, masks and counts
+                    if x.dtype.kind in "fc":
+                        _assert_same_bits(x, y)
 
 
 class TestCoefficientMatrix:
