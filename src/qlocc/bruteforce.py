@@ -20,8 +20,9 @@ certified-positive cases and abort when too coarse.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class GridSpec:
     resolution: int = 64
 
     def __post_init__(self):
-        if self.resolution < 8:
-            raise BadGrid(f"resolution must be >= 8, got {self.resolution}")
+        res = self.resolution
+        if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 8:
+            raise BadGrid(f"resolution must be an integer >= 8, got {res!r}")
 
 
 @dataclass(frozen=True)
@@ -144,63 +146,84 @@ def _lm_root(f_and_grad, x0):
     return t, p
 
 
-def _best_right_score(lefts, conj_mats, i, others):
+def _best_right_score(lefts, mats):
     """max over unit b of |h_i.b|^2 - P * sum_j |h_j.b|^2, per left factor.
 
-    With h_j = a M_j^* the score is the Hermitian form b^H Q b,
-    Q = conj(h_i) h_i^T - P * sum_j conj(h_j) h_j^T with P = SEED_PENALTY,
-    whose maximum over unit b is its largest eigenvalue, taken here in closed
-    form for the whole (N, 2) stack of left factors at once.
+    mats stacks the members' conjugated coefficient matrices M^*, the target
+    member i first.  With h_j = a M_j^* the score is the Hermitian form
+    b^H Q b, Q = conj(h_i) h_i^T - P * sum_j conj(h_j) h_j^T with
+    P = SEED_PENALTY, whose maximum over unit b is its largest eigenvalue,
+    taken here in closed form for the whole (N, 2) stack of left factors at
+    once.  Summing over the members' axis adds their terms in mats' order.
     """
-    q00 = np.zeros(lefts.shape[0])
-    q11 = np.zeros(lefts.shape[0])
-    q01 = np.zeros(lefts.shape[0], dtype=complex)
-    for j in (i, *others):
-        w = 1.0 if j == i else -SEED_PENALTY
-        h = lefts @ conj_mats[j]
-        q00 += w * np.abs(h[:, 0]) ** 2
-        q11 += w * np.abs(h[:, 1]) ** 2
-        q01 += w * h[:, 0].conj() * h[:, 1]
+    h = lefts @ mats  # (members, N, 2)
+    w = np.array([[1.0], [-SEED_PENALTY], [-SEED_PENALTY]])
+    q00 = (w * np.abs(h[..., 0]) ** 2).sum(axis=0)
+    q11 = (w * np.abs(h[..., 1]) ** 2).sum(axis=0)
+    q01 = (w * h[..., 0].conj() * h[..., 1]).sum(axis=0)
     half_gap = (q00 - q11) / 2.0
     return (q00 + q11) / 2.0 + np.sqrt(half_gap**2 + np.abs(q01) ** 2)
 
 
-def _coarse_candidates(conj_mats, i, others, grid):
-    """Top scoring, mutually separated left-qubit angle pairs on the sphere."""
-    theta = np.linspace(0.0, np.pi, grid.resolution)
-    phi = np.linspace(0.0, 2.0 * np.pi, grid.resolution, endpoint=False)
+@lru_cache(maxsize=4)
+def _coarse_grid(resolution):
+    """The coarse left sphere, built once per resolution and read-only: raveled
+    angles t and p, left factors, Bloch vectors and the separation's cosine."""
+    theta = np.linspace(0.0, np.pi, resolution)
+    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     t, p = _mesh(theta, phi)
-    scores = _best_right_score(_bloch(t, p), conj_mats, i, others)
+    lefts = _bloch(t, p)
+    vectors = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    for arr in (t, p, lefts, vectors):
+        arr.flags.writeable = False
+    return t, p, lefts, vectors, np.cos(4.0 * np.pi / resolution)
 
-    # separation is measured between Bloch vectors, so the duplicated poles
-    # and the azimuthal wrap-around do not count as distinct candidates
-    bloch_vectors = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
-    min_cos = np.cos(4.0 * np.pi / grid.resolution)
+
+def _separated_picks(scores, vectors, min_cos):
+    """Up to _TOP_K indices, greedy in score order (ties to the lower index):
+    each pick is the best point whose dot with every earlier pick is below min_cos."""
+    order = np.argsort(-scores, kind="stable")
+    ranked = vectors[order]
+    free = np.ones(len(order), dtype=bool)
     picked = []
-    for k in np.argsort(-scores, kind="stable"):
-        if all(bloch_vectors[k] @ bloch_vectors[m] < min_cos for m in picked):
-            picked.append(k)
-            if len(picked) == _TOP_K:
-                break
+    while len(picked) < _TOP_K and free.any():
+        n = int(np.argmax(free))  # the best ranked point still free
+        picked.append(order[n])
+        free &= ranked @ ranked[n] < min_cos  # clears the pick itself too
+    return picked
+
+
+def _coarse_candidates(mats, grid):
+    """Top scoring, mutually separated left-qubit angle pairs on the sphere.
+
+    Separated as Bloch vectors, so the duplicated poles and the azimuthal
+    wrap-around do not count as distinct candidates.
+    """
+    t, p, lefts, vectors, min_cos = _coarse_grid(grid.resolution)
+    picked = _separated_picks(_best_right_score(lefts, mats), vectors, min_cos)
     return [np.array([t[k], p[k]]) for k in picked]
 
 
-def _refine(conj_mats, i, others, angles, grid):
+def _refine(mats, angles, grid):
     """Local grid refinement around one left angle pair, shrinking 4x per round."""
     width = 2.0 * np.pi / (grid.resolution - 1)  # two polar steps of the coarse grid
     best = np.asarray(angles, dtype=float)
-    sub = 9
+    steps = np.arange(9.0)[:, None]
     for _ in range(ROUNDS):
-        axes = [np.linspace(a - width, a + width, sub) for a in best]
-        gt, gp = _mesh(*axes)
-        score = _best_right_score(_bloch(gt, gp), conj_mats, i, others)
-        k = int(np.argmax(score))
-        best = np.array([gt[k], gp[k]])
+        # theta and phi axes as columns, np.linspace(lo, hi, 9) bit for bit; then
+        # _bloch on their 9 x 9 mesh, theta varying slowest, from 9 values per axis
+        lo, hi = best - width, best + width
+        axes = steps * ((hi - lo) / 8) + lo
+        axes[-1] = hi
+        c, s, e = np.cos(axes[:, 0] / 2.0), np.sin(axes[:, 0] / 2.0), np.exp(1j * axes[:, 1])
+        lefts = np.stack([np.repeat(c, 9), (e * s[:, None]).ravel()], axis=-1)
+        k = int(np.argmax(_best_right_score(lefts, mats)))
+        best = np.array([axes[k // 9, 0], axes[k % 9, 1]])
         width /= 4.0
     return best
 
 
-def _polish(conj_mats, i, others, angles):
+def _polish(mats, angles):
     """Drive the orthogonality residual to machine precision.
 
     For a fixed left factor a the two orthogonality constraints on the right
@@ -214,7 +237,7 @@ def _polish(conj_mats, i, others, angles):
     THRESHOLD, at least one direction) with the largest target overlap:
     where the stack vanishes it is the normalized conj(a M_i^*).
     """
-    mj, mk = conj_mats[others[0]], conj_mats[others[1]]
+    mj, mk = mats[1], mats[2]
     # the stacked constraints (a M_j^*, a M_k^*) at a = (cos theta/2, e^{i phi} sin theta/2)
     # are cos(theta/2) A + e^{i phi} sin(theta/2) B, with A and B the first and
     # second rows of M_j^* and M_k^*
@@ -230,7 +253,7 @@ def _polish(conj_mats, i, others, angles):
     _, sing, vh = np.linalg.svd(np.stack([a @ mj, a @ mk]))
     dim = max(1, int(np.sum(sing < THRESHOLD)))
     null = vh[-dim:].conj().T  # columns span the null space
-    target = (a @ conj_mats[i]) @ null
+    target = (a @ mats[0]) @ null
     norm = np.linalg.norm(target)
     coeffs = target.conj() / norm if norm > 0.0 else np.eye(dim)[-1]
     return make_state(np.outer(a, null @ coeffs).reshape(4))
@@ -245,12 +268,11 @@ def _chefles_check(ensemble, i, witness):
 
 
 def _search(ensemble, i, grid):
-    conj_mats = [s.matrix.conj() for s in ensemble.states]
     others = [j for j in range(len(ensemble)) if j != i]
+    mats = np.stack([ensemble[j].matrix.conj() for j in (i, *others)])
     best = OracleVerdict(False, None, np.inf, 0.0)
-    for cand in _coarse_candidates(conj_mats, i, others, grid):
-        refined = _refine(conj_mats, i, others, cand, grid)
-        witness = _polish(conj_mats, i, others, refined)
+    for cand in _coarse_candidates(mats, grid):
+        witness = _polish(mats, _refine(mats, cand, grid))
         ok, leak, overlap = _chefles_check(ensemble, i, witness)
         if ok:
             return OracleVerdict(True, witness, leak, overlap)

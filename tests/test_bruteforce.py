@@ -20,10 +20,23 @@ from qlocc import (
     oracle_product_scan,
     random_orthogonal_set,
 )
-from qlocc.bruteforce import _lm_root, _pencil_det
+from qlocc import bruteforce
+from qlocc.bruteforce import (
+    _TOP_K,
+    _best_right_score,
+    _bloch,
+    _coarse_candidates,
+    _coarse_grid,
+    _lm_root,
+    _mesh,
+    _pencil_det,
+    _refine,
+    _separated_picks,
+)
+from qlocc.ensembles import _haar_rows
 from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
-from qlocc.verify import _EQ1_LAMS, _EQ1_POINTS, _FAMILY_GRID, _family_rows, _sets
+from qlocc.verify import DEFAULT_SEED, _EQ1_LAMS, _EQ1_POINTS, _FAMILY_GRID, _family_rows, _sets
 
 GRID = GridSpec(resolution=32)
 
@@ -42,6 +55,17 @@ class TestGridSpec:
             GridSpec(resolution=4)
         with pytest.raises(QloccError):
             GridSpec(resolution=7)
+
+    @pytest.mark.parametrize("resolution", [8.5, 32.0, math.nan, math.inf, "64", True])
+    def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
+        # 32.0 hashes equal to 32, so it would otherwise share 32's calibration and grid
+        with pytest.raises(BadGrid):
+            GridSpec(resolution=resolution)
+
+    def test_accepts_numpy_integers(self, bell_triple):
+        grid = GridSpec(resolution=np.int64(32))
+        assert grid == GRID
+        assert oracle_identifiable(bell_triple, 0, grid).identifiable
 
 
 class TestOracleIdentifiable:
@@ -172,6 +196,149 @@ class TestLmRoot:
             assert abs(analytic - (hi - lo) / (2 * h)) < 1e-8
 
 
+# The loop forms that the grid stages' array forms replaced, kept as their
+# reference: the array forms must reproduce them bit for bit.
+def _score_loop(lefts, conj_mats, i, others):
+    q00 = np.zeros(lefts.shape[0])
+    q11 = np.zeros(lefts.shape[0])
+    q01 = np.zeros(lefts.shape[0], dtype=complex)
+    for j in (i, *others):
+        w = 1.0 if j == i else -bruteforce.SEED_PENALTY
+        h = lefts @ conj_mats[j]
+        q00 += w * np.abs(h[:, 0]) ** 2
+        q11 += w * np.abs(h[:, 1]) ** 2
+        q01 += w * h[:, 0].conj() * h[:, 1]
+    half_gap = (q00 - q11) / 2.0
+    return (q00 + q11) / 2.0 + np.sqrt(half_gap**2 + np.abs(q01) ** 2)
+
+
+def _pick_loop(scores, vectors, min_cos):
+    picked = []
+    for k in np.argsort(-scores, kind="stable"):
+        if all(vectors[k] @ vectors[m] < min_cos for m in picked):
+            picked.append(k)
+            if len(picked) == _TOP_K:
+                break
+    return picked
+
+
+def _coarse_loop(conj_mats, i, others, resolution):
+    theta = np.linspace(0.0, np.pi, resolution)
+    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    t, p = _mesh(theta, phi)
+    scores = _score_loop(_bloch(t, p), conj_mats, i, others)
+    vectors = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    picked = _pick_loop(scores, vectors, np.cos(4.0 * np.pi / resolution))
+    return [np.array([t[k], p[k]]) for k in picked]
+
+
+def _refine_loop(conj_mats, i, others, angles, resolution):
+    """The best angles and every round's 81 left factors, from np.linspace axes."""
+    width = 2.0 * np.pi / (resolution - 1)
+    best = np.asarray(angles, dtype=float)
+    meshes = []
+    for _ in range(bruteforce.ROUNDS):
+        gt, gp = _mesh(*(np.linspace(a - width, a + width, 9) for a in best))
+        meshes.append(_bloch(gt, gp))
+        k = int(np.argmax(_score_loop(meshes[-1], conj_mats, i, others)))
+        best = np.array([gt[k], gp[k]])
+        width /= 4.0
+    return best, meshes
+
+
+def _pin_cases():
+    """(name, conj_mats, i, others, mats) for every member of the Bell triple, the eq1
+    points, eq2 over _FAMILY_GRID and 50 Haar triples; mats as the oracle stacks them."""
+    bell = OrthogonalSet(tuple(make_state(a) for a in bruteforce._BELL_TRIPLE_AMPS))
+    sets = [("bell", bell)]
+    sets += [(f"eq1 {point}", ens) for point, ens in zip(_EQ1_POINTS, _sets(_family_rows(*_EQ1_LAMS)))]
+    sets += [(f"eq2 {l1:.2f}", ens) for l1, ens in zip(_FAMILY_GRID, _sets(_family_rows(_FAMILY_GRID)))]
+    haar = _sets(_haar_rows(range(DEFAULT_SEED, DEFAULT_SEED + 50), 3))
+    sets += [(f"haar {k}", ens) for k, ens in enumerate(haar)]
+    for name, ens in sets:
+        conj_mats = [s.matrix.conj() for s in ens.states]
+        for i in range(3):
+            others = [j for j in range(3) if j != i]
+            yield name, conj_mats, i, others, np.stack([conj_mats[j] for j in (i, *others)])
+
+
+def _raw(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.filterwarnings("error")
+class TestGridStagesMatchLoopForms:
+    def test_score_matches_the_member_loop(self):
+        lefts = _coarse_grid(GRID.resolution)[2]
+        for name, conj_mats, i, others, mats in _pin_cases():
+            expected = _score_loop(lefts, conj_mats, i, others)
+            assert _raw([_best_right_score(lefts, mats)]) == _raw([expected]), (name, i)
+
+    def test_coarse_candidates_match_the_greedy_loop(self):
+        for name, conj_mats, i, others, mats in _pin_cases():
+            expected = _coarse_loop(conj_mats, i, others, GRID.resolution)
+            assert _raw(_coarse_candidates(mats, GRID)) == _raw(expected), (name, i)
+
+    def test_refine_meshes_match_linspace_meshes(self, monkeypatch):
+        meshes = []
+
+        def recording_score(lefts, mats):
+            meshes.append(lefts)
+            return _best_right_score(lefts, mats)
+
+        monkeypatch.setattr(bruteforce, "_best_right_score", recording_score)
+        for name, conj_mats, i, others, mats in _pin_cases():
+            for cand in _coarse_loop(conj_mats, i, others, GRID.resolution)[:2]:
+                meshes.clear()
+                best = _refine(mats, cand, GRID)
+                expected, expected_meshes = _refine_loop(conj_mats, i, others, cand, GRID.resolution)
+                assert _raw(meshes) == _raw(expected_meshes), (name, i)
+                assert _raw([best]) == _raw([expected]), (name, i)
+
+    def test_pick_breaks_ties_to_the_lower_index(self):
+        _, _, _, vectors, min_cos = _coarse_grid(GRID.resolution)
+        rng = np.random.default_rng(5)
+        for scores in (np.zeros(len(vectors)), np.round(rng.random(len(vectors)), 1)):
+            picks = _separated_picks(scores, vectors, min_cos)
+            assert len(picks) == _TOP_K and picks == _pick_loop(scores, vectors, min_cos)
+        assert _separated_picks(np.zeros(len(vectors)), vectors, min_cos)[0] == 0
+
+    def test_pick_clears_dots_at_the_bound(self):
+        # (1, 0, 0) . (0.5, y, 0) is exactly 0.5: a dot equal to min_cos is not separated
+        vectors = np.array([[1.0, 0.0, 0.0], [0.5, math.sqrt(0.75), 0.0]])
+        scores = np.array([1.0, 0.0])
+        for min_cos, expected in ((0.5, [0]), (np.nextafter(0.5, 1.0), [0, 1])):
+            assert _separated_picks(scores, vectors, min_cos) == expected
+            assert _pick_loop(scores, vectors, min_cos) == expected
+
+    def test_pick_with_fewer_than_top_k_separated_points(self):
+        # at resolution 8 the separation is 90 degrees, and at most 4 unit
+        # vectors in 3-D have pairwise negative dots
+        _, _, _, vectors, min_cos = _coarse_grid(8)
+        scores = np.random.default_rng(6).random(len(vectors))
+        picks = _separated_picks(scores, vectors, min_cos)
+        assert 1 < len(picks) < _TOP_K and picks == _pick_loop(scores, vectors, min_cos)
+        same = np.tile([0.0, 0.0, 1.0], (6, 1))
+        assert _separated_picks(np.arange(6.0), same, min_cos) == [5] == _pick_loop(
+            np.arange(6.0), same, min_cos
+        )
+
+
+class TestCoarseGridCache:
+    def test_two_verdicts_build_the_grid_once(self, bell_triple):
+        _coarse_grid.cache_clear()
+        oracle_identifiable(bell_triple, 0, GRID)
+        oracle_identifiable(bell_triple, 1, GRID)
+        info = _coarse_grid.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+
+    def test_cached_arrays_are_read_only(self):
+        t, p, lefts, vectors, _ = _coarse_grid(GRID.resolution)
+        for arr in (t, p, lefts, vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def _basis_triple():
     return OrthogonalSet(tuple(make_state(a) for a in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])))
 
@@ -253,3 +420,10 @@ def test_imports_print_and_warn_nothing():
     # and any warning, at import or at exit, is an error here
     proc = _fresh_interpreter("-W", "error", "-c", "import qlocc, qlocc.cli, qlocc.verify, qlocc.io")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_imports_build_no_grid():
+    code = "import qlocc, qlocc.cli, qlocc.verify, qlocc.io\n"
+    code += "assert qlocc.bruteforce._coarse_grid.cache_info().currsize == 0"
+    proc = _fresh_interpreter("-c", code)
+    assert proc.returncode == 0, proc.stderr
