@@ -10,9 +10,10 @@ only: at each left grid point the best right factor is scored exactly, as the
 largest eigenvalue of a 2x2 Hermitian score form.  The best left points are
 refined locally and polished by a Levenberg-Marquardt root find of the
 constraint determinant, with its analytic gradient, and the right factor is
-then read off the constraints' null space.  Product enumeration scans |det|
-of the coefficient matrix, built point by point, over the projective
-parameterization of a 2-D subspace, and polishes its minima the same way.
+then read off the constraints' null space.  Product enumeration shares the
+cached grid, the separated picks and the root finder: a 2-D subspace's
+projective line is the left sphere at half the polar angle, so |det| of its
+coefficient matrix is scanned there and its smallest values seed the polish.
 Built to over- rather than under-report disagreement: grids are calibrated on
 certified-positive cases and abort when too coarse.
 """
@@ -49,8 +50,7 @@ class GridSpec:
 
     The identifiability oracle scans resolution**2 left-qubit Bloch angles per
     verdict (resolution polar by resolution azimuthal) and solves for the
-    right factor exactly at each; the product scan uses the same resolution
-    on each of its two angles.
+    right factor exactly at each; the product scan reads the same grid.
     """
 
     resolution: int = 64
@@ -319,60 +319,33 @@ def oracle_identifiable(
     return _search(ensemble, i, grid)
 
 
-def _det_on_circle(sub: Subspace, t, phi):
-    """det of cos(t) u + e^{i phi} sin(t) v over angle arrays (complex).
-
-    Each point's 2x2 coefficient matrix is built and its determinant taken
-    directly, as one batched (..., 2, 2) stack.
-    """
-    u, v = sub.basis
-    t = np.asarray(t)[..., None, None]
-    phi = np.asarray(phi)[..., None, None]
-    mats = np.cos(t) * u.matrix + np.exp(1j * phi) * np.sin(t) * v.matrix
-    return np.linalg.det(mats)
-
-
-def _projective_angle(w1, w2):
-    ip = abs(np.vdot(w1, w2))
-    return float(np.arccos(min(1.0, ip)))
-
-
 def oracle_product_scan(sub: Subspace, grid: GridSpec | None = None) -> ProductScanResult:
     """Scan the projective line of a 2-D subspace for product states.
 
-    Local |det| minima are polished to machine precision and clustered; a
-    subspace where |det| is negligible everywhere is flagged AllProduct-
-    suspect instead of enumerated.
+    The line's points (cos t, e^{ip} sin t) are the coarse sphere's left
+    factors with t = theta/2, so the scan reads the identifiability oracle's
+    cached grid, seeds from its separated picks of the smallest |det|, and
+    polishes each seed with its root finder.  A subspace where |det| is
+    negligible everywhere is flagged AllProduct-suspect instead of enumerated.
     """
     if sub.dim != 2:
         raise BadDimension(f"expected dim 2, got {sub.dim}")
     grid = grid or GridSpec()
-    t_ax = np.linspace(0.0, np.pi / 2.0, grid.resolution)
-    p_ax = np.linspace(0.0, 2.0 * np.pi, grid.resolution, endpoint=False)
-    t, p = _mesh(t_ax, p_ax)
-    dets = np.abs(_det_on_circle(sub, t, p))
-
+    t, p, lefts, vectors, min_cos = _coarse_grid(grid.resolution)
+    u, v = sub.basis
+    pencils = lefts[:, 0, None, None] * u.matrix + lefts[:, 1, None, None] * v.matrix
+    dets = np.abs(np.linalg.det(pencils))
     if float(dets.max()) < THRESHOLD:
         return ProductScanResult(all_product_suspect=True, states=())
 
-    u, v = sub.basis
     det_and_grad = partial(_pencil_det, u.amps.tolist(), v.amps.tolist())
-    coords = np.stack([np.cos(t) * np.ones_like(p), np.exp(1j * p) * np.sin(t)], axis=-1)
-    found = []  # (projective coord 2-vector, state)
-    masked = np.array(dets)
-    for _ in range(3):  # a quadratic has at most two roots; third pass is slack
-        k = int(np.argmin(masked))
-        if not np.isfinite(masked[k]):
-            break
-        tk, pk = _lm_root(det_and_grad, (t[k], p[k]))
-        a = np.cos(tk)
-        b = np.exp(1j * pk) * np.sin(tk)
-        if abs(_det_on_circle(sub, tk, pk)) < THRESHOLD:
-            w = np.array([a, b])
-            w = w / np.linalg.norm(w)
-            if all(_projective_angle(w, w0) > 1e-4 for w0, _ in found):
-                found.append((w, make_state(a * u.amps + b * v.amps)))
-        # mask out the basin of this minimum before the next pass
-        ips = np.abs(coords @ np.array([a, b]).conj())
-        masked[ips > 0.95] = np.inf
-    return ProductScanResult(all_product_suspect=False, states=tuple(s for _, s in found))
+    roots = []  # distinct projective points (a, b), unit norm
+    for k in _separated_picks(-dets, vectors, min_cos):
+        tk, pk = _lm_root(det_and_grad, (t[k] / 2.0, p[k]))
+        w = np.array([math.cos(tk), complex(math.cos(pk), math.sin(pk)) * math.sin(tk)])
+        if abs(det_and_grad(tk, pk)[0]) < THRESHOLD and all(
+            abs(np.vdot(w, w0)) < math.cos(1e-4) for w0 in roots
+        ):
+            roots.append(w)
+    states = tuple(make_state(a * u.amps + b * v.amps) for a, b in roots)
+    return ProductScanResult(all_product_suspect=False, states=states)

@@ -50,4 +50,4 @@ class BadTolerance(QloccError, ValueError):
 
 
 class BadGrid(QloccError, ValueError):
-    """A grid specification has too few angle points."""
+    """A grid resolution is not an integer, or has too few angle points."""

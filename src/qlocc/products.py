@@ -73,26 +73,26 @@ class ProductStateEnumeration:
     multiplicities: tuple[int, ...] = ()
 
 
-def quadratic_roots(c2: complex, c1: complex, c0: complex, eps_zero: float = EPS_ZERO):
+def quadratic_roots(c2: complex, c1: complex, c0: complex):
     """Projective roots of c2*a^2 + c1*a*b + c0*b^2 on the complex line.
 
     Returns a list of ((a, b), multiplicity) with the representative scaled
     so max(|a|, |b|) = 1.  The list is empty exactly when the quadratic is
     identically zero: every coefficient is negligible in concurrence units
-    (2|c| < eps_zero), the threshold is_product applies to 2|det M|, so both
-    basis states of an identically-zero determinant plane factor.
+    (2|c| < EPS_ZERO), the default threshold is_product applies to 2|det M|,
+    so both basis states of an identically-zero determinant plane factor.
     """
     scale = max(abs(c2), abs(c1), abs(c0))
-    if 2.0 * scale < eps_zero:
+    if 2.0 * scale < EPS_ZERO:
         return []
 
     def norm_root(a, b):
         m = max(abs(a), abs(b))
         return (a / m, b / m)
 
-    if abs(c2) < eps_zero * scale:
+    if abs(c2) < EPS_ZERO * scale:
         # c1*a*b + c0*b^2 = b*(c1*a + c0*b)
-        if abs(c1) < eps_zero * scale:
+        if abs(c1) < EPS_ZERO * scale:
             # c0*b^2: double root at b = 0
             return [((1.0 + 0j, 0j), 2)]
         return [((1.0 + 0j, 0j), 1), (norm_root(-c0, c1), 1)]
@@ -145,7 +145,7 @@ def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
     return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))
 
 
-def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductStateEnumeration:
+def product_states_in_2d(sub: Subspace) -> ProductStateEnumeration:
     """Enumerate the product states in a 2-D subspace.
 
     A nonzero homogeneous quadratic on the complex projective line always has
@@ -160,7 +160,7 @@ def product_states_in_2d(sub: Subspace, eps_zero: float = EPS_ZERO) -> ProductSt
     det_u = au * du - bu * cu
     det_v = av * dv - bv * cv
     cross = au * dv + du * av - bu * cv - cu * bv
-    roots = quadratic_roots(det_u, cross, det_v, eps_zero)
+    roots = quadratic_roots(det_u, cross, det_v)
 
     if not roots:  # the quadratic vanishes identically
         return ProductStateEnumeration(

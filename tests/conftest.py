@@ -32,3 +32,9 @@ def random_states(n, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     return [make_state(row) for row in g]
+
+
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

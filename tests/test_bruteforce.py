@@ -38,6 +38,8 @@ from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 from qlocc.verify import DEFAULT_SEED, _EQ1_LAMS, _EQ1_POINTS, _FAMILY_GRID, _family_rows, _sets
 
+from conftest import haar_unitary
+
 GRID = GridSpec(resolution=32)
 
 
@@ -139,7 +141,7 @@ class TestOracleIdentifiable:
         for ens in sets:
             analytic = [conclusively_identifiable(ens, i)[0] for i in range(3)]
             for _ in range(4):
-                local = np.kron(_haar_unitary(rng), _haar_unitary(rng))
+                local = np.kron(haar_unitary(rng), haar_unitary(rng))
                 rotated = OrthogonalSet(tuple(make_state(local @ s.amps) for s in ens.states))
                 for i in range(3):
                     assert conclusively_identifiable(rotated, i)[0] == analytic[i]
@@ -332,6 +334,14 @@ class TestCoarseGridCache:
         info = _coarse_grid.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
 
+    def test_verdict_and_product_scan_share_the_grid(self, bell, bell_triple):
+        _coarse_grid.cache_clear()
+        oracle_identifiable(bell_triple, 0, GRID)
+        before = _coarse_grid.cache_info()
+        oracle_product_scan(Subspace((bell["phi+"], bell["psi-"])), GRID)
+        info = _coarse_grid.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (1, 1, before.hits + 1)
+
     def test_cached_arrays_are_read_only(self):
         t, p, lefts, vectors, _ = _coarse_grid(GRID.resolution)
         for arr in (t, p, lefts, vectors):
@@ -341,11 +351,6 @@ class TestCoarseGridCache:
 
 def _basis_triple():
     return OrthogonalSet(tuple(make_state(a) for a in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])))
-
-
-def _haar_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestOracleProductScan:

@@ -4,12 +4,14 @@ import pytest
 import qlocc.products
 from qlocc import (
     EnumerationKind,
+    GridSpec,
     OrthogonalSet,
     PureState,
     Subspace,
     concurrence,
     is_product,
     make_state,
+    oracle_product_scan,
     orthocomplement,
     product_state,
     product_states_in_2d,
@@ -19,15 +21,16 @@ from qlocc import (
 )
 from qlocc.errors import BadDimension, FullSpace
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
+from qlocc.verify import _FAMILY_GRID, _family_rows
 
-from conftest import random_states
+from conftest import haar_unitary, random_states
 
 
-def assert_common_factor(enum, side, factor, eps_zero=1e-9):
+def assert_common_factor(enum, side, factor):
     """Every representative factors with `factor` on `side`, up to phase."""
     k = 0 if side == "left" else 1
     for s in enum.states:
-        prod, factors = is_product(s, eps_zero)
+        prod, factors = is_product(s)
         assert prod
         assert abs(abs(np.vdot(factors[k], factor)) - 1.0) < 1e-12
 
@@ -175,13 +178,6 @@ class TestProductStatesIn2d:
             assert not is_product(u)[0]
             assert all(concurrence(s) < 1e-9 for s in enum.states)
 
-    def test_all_product_plane_uses_given_eps_zero(self):
-        u = make_state([1, 0, 0, 1e-7])
-        sub = Subspace((u, make_state([0, 1, 0, 0])))
-        enum = product_states_in_2d(sub, eps_zero=1e-6)
-        assert enum.kind is EnumerationKind.ALL_PRODUCT
-        assert_common_factor(enum, "left", [1, 0], eps_zero=1e-6)
-
     def test_never_empty_and_sound(self):
         # existence of a product state in every 2-D subspace
         for k in range(1000):
@@ -239,9 +235,9 @@ class TestClosedFormKernels:
         seen = []
         original = qlocc.products.quadratic_roots
 
-        def recording(c2, c1, c0, eps_zero):
+        def recording(c2, c1, c0):
             seen.append((c2, c1, c0))
-            return original(c2, c1, c0, eps_zero)
+            return original(c2, c1, c0)
 
         monkeypatch.setattr(qlocc.products, "quadratic_roots", recording)
         planes = [Subspace(random_orthogonal_set(92_000 + k, size=2).states) for k in range(300)]
@@ -292,26 +288,61 @@ class TestClosedFormKernels:
                 Subspace(tuple(basis))
 
 
-class TestGridScanAgreement:
-    def test_counts_match_analytic(self, bell):
-        from qlocc import GridSpec, oracle_product_scan
+_SCAN_GRID = GridSpec(resolution=32)
 
-        grid = GridSpec(resolution=48)
+
+def _local(rng, sub):
+    """sub under a seeded U_A x U_B."""
+    local = np.kron(haar_unitary(rng), haar_unitary(rng))
+    return Subspace(tuple(make_state(local @ s.amps) for s in sub.basis))
+
+
+def _double_root_planes():
+    """span{psi1, |11>} of eq1 over the family grid: det = -sqrt(lam1 lam2) a^2."""
+    ket11 = make_state([0, 0, 0, 1])
+    psi1 = _family_rows(_FAMILY_GRID, _FAMILY_GRID)[:, 0]
+    return [Subspace((make_state(row), ket11)) for row in psi1]
+
+
+def assert_scan_matches_analytic(sub, grid=_SCAN_GRID):
+    enum = product_states_in_2d(sub)
+    scan = oracle_product_scan(sub, grid)
+    assert not scan.all_product_suspect
+    assert len(scan.states) == len(enum.states)
+    for s in scan.states:
+        assert any(states_equal_up_to_phase(s, e, tol=1e-6) for e in enum.states)
+
+
+class TestGridScanAgreement:
+    def test_haar_planes(self):
+        for k in range(50):
+            assert_scan_matches_analytic(Subspace(random_orthogonal_set(93_000 + k, size=2).states))
+
+    def test_double_root_planes(self):
+        rng = np.random.default_rng(94)
+        for sub in _double_root_planes():
+            assert product_states_in_2d(sub).multiplicities == (2,)
+            assert_scan_matches_analytic(sub)
+            assert_scan_matches_analytic(_local(rng, sub))
+
+    def test_all_product_planes_under_local_unitaries(self):
+        rng = np.random.default_rng(95)
+        ket00, ket01, ket10 = (make_state(np.eye(4)[k]) for k in range(3))
+        for k in range(10):
+            # |0> x C^2 and C^2 x |0>, alternately
+            sub = _local(rng, Subspace((ket00, ket01 if k % 2 else ket10)))
+            assert product_states_in_2d(sub).kind is EnumerationKind.ALL_PRODUCT
+            assert oracle_product_scan(sub, _SCAN_GRID).all_product_suspect
+
+    def test_counts_match_analytic(self, bell):
         cases = [
             Subspace((bell["phi+"], bell["psi-"])),
             Subspace((make_state([0, np.sqrt(0.3), np.sqrt(0.7), 0]), make_state([0, 0, 0, 1]))),
             Subspace(random_orthogonal_set(77, size=2).states),
         ]
         for sub in cases:
-            enum = product_states_in_2d(sub)
-            scan = oracle_product_scan(sub, grid)
-            assert not scan.all_product_suspect
-            assert len(scan.states) == len(enum.states)
-            for s in scan.states:
-                assert any(states_equal_up_to_phase(s, e, tol=1e-6) for e in enum.states)
+            assert_scan_matches_analytic(sub, GridSpec(resolution=48))
 
     def test_all_product_detected(self):
-        from qlocc import GridSpec, oracle_product_scan
-
         sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 1, 0, 0])))
         assert oracle_product_scan(sub, GridSpec(resolution=48)).all_product_suspect
