@@ -189,15 +189,17 @@ def _sweep_blocks(lam1s, lam3s):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_sweep(family, grid, grid_l3, out):
     """Classify a parametric family over a grid and write a CSV."""
+    if grid_l3 is not None and family != "eq1":
+        _fail_input(f"--grid-l3 applies to eq1 only; {family} has no lam3")
     try:
         lam1s = _parse_grid(grid)
-        lam3s = _parse_grid(grid_l3) if grid_l3 else lam1s
+        lam3s = None if family == "eq2" else lam1s if grid_l3 is None else _parse_grid(grid_l3)
     except BadBounds as exc:
         _fail_input(str(exc))
-    classes, points = set(), len(lam1s) * (len(lam3s) if family == "eq1" else 1)
+    classes, points = set(), len(lam1s) * (1 if lam3s is None else len(lam3s))
     with _open_out(out, newline="") as fh:
         fh.write(_SWEEP_HEADER)
-        for text, block_classes in _sweep_blocks(lam1s, lam3s if family == "eq1" else None):
+        for text, block_classes in _sweep_blocks(lam1s, lam3s):
             fh.write(text)
             classes |= block_classes
     uniform = "uniform" if len(classes) == 1 else "MIXED"

@@ -33,10 +33,11 @@ At exactly 1, a complement concurrence rounding below 1 defeats the argument
 
 Each rule is written once.  _decide holds the witness rule and the UEB rule (all
 three members entangled, d product); every entry point and the sweep read its
-_Verdicts.  It counts a member entangled when C >= eps_zero on the concurrences
-of states._concurrences, as OrthogonalSet.entangled_count does.  _PERFECT_MAX holds
-the perfect-LOCC rule, read by the triple label, the report and
-perfectly_distinguishable.
+_Verdicts.  It reads G's diagonal from one states._dets call on U's columns (the
+members, and d for a triple): det = -G_kk / 2 and C = min(1, |G_kk|) in concurrence's
+bits, on which it counts a member entangled when C >= eps_zero, as
+OrthogonalSet.entangled_count does; column d is c_i = -G_id.  _PERFECT_MAX holds the
+perfect-LOCC rule, read by the triple label, the report and perfectly_distinguishable.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 from .ensembles import OrthogonalSet, Tolerances
 from .errors import IndexOutOfRange
 from .products import _complements
-from .states import PureState, _concurrences, _dets, make_state
+from .states import PureState, _det_concurrences, _dets, make_state
 
 # Witnesses with target overlap inside [tau, WARN_BAND_FACTOR * tau] are
 # numerically suspect; reports carry a warning flag for them.
@@ -130,17 +131,20 @@ _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
     """The module docstring's rule on a stack (N, n, 4) of orthonormal members."""
     n = amps.shape[1]
-    conc = _concurrences(amps)
+    if n == 3:  # a triple's U has a fourth column, its unit complement d
+        d = _complements(amps)
+        d /= np.sqrt(np.square(np.abs(d)).sum(axis=-1, keepdims=True))
+    dets = _dets(np.concatenate([amps, d[:, None]], axis=1) if n == 3 else amps)  # -G_kk / 2
+    concs = _det_concurrences(dets)  # |G_kk|, at most 1
+    conc = concs[:, :n]
     ent = conc >= tol.eps_zero
     entangled = np.add.reduce(ent, axis=1)
     if n != 3:  # a basis member is hidden iff entangled; a pair hides nothing
         return _Verdicts(conc, entangled, ent if n == 4 else ent & False)
 
-    d = _complements(amps)
-    d /= np.sqrt(np.square(np.abs(d)).sum(axis=-1, keepdims=True))
-    det, det_d, comp_conc = _dets(amps), _dets(d), _concurrences(d)
+    det, det_d, comp_conc = dets[:, :3], dets[:, 3], concs[:, 3]
     span = comp_conc < tol.eps_zero
-    c1 = np.matmul(amps, (d[:, ::-1] * _FLIP)[..., None])[..., 0]
+    c1 = np.matmul(amps, (d[:, ::-1] * _FLIP)[..., None])[..., 0]  # -G_id
     sq = np.sqrt(c1 * c1 - 4.0 * det * det_d[:, None])
     # q / det is the root of larger modulus (the roots multiply to det_d / det), so the
     # better one; choosing q's sign as quadratic_roots does avoids cancellation

@@ -35,7 +35,9 @@ class Tolerances:
             # NaN, inf and ints past the float range fail the chained comparison
             if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v <= sys.float_info.max:
                 raise BadTolerance(f"{f.name}: must be a positive finite number, got {v!r}")
-        e, t2 = self.eps_zero, self.tau_overlap**2  # no triple then hides all three members
+        # no triple then hides all three members; an overlap is at most 1, so a tau_overlap
+        # of 1 or more fails as 1 does, and its square cannot overflow
+        e, t2 = self.eps_zero, min(self.tau_overlap, 1.0) ** 2
         if not (t2 * (1.0 + e) < e and (e > 1.0 or 3.0 * t2 <= 4.0 * (1.0 - t2) * (1.0 - e * e))):
             raise BadTolerance(f"tau_overlap: {self.tau_overlap!r} too large for eps_zero {e!r}")
 

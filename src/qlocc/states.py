@@ -85,9 +85,9 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     return a * _phase_factors(lead.reshape(-1)).reshape(lead.shape)
 
 
-# Stacks of at least this many rows take the column form of _phase_factors, _dets and
-# _concurrences; smaller ones, classify's stack of one among them, loop over Python complex
-# numbers, which costs less below it.  Both forms give the same bits.
+# From this many rows on, _phase_factors and _dets take their column form; smaller stacks,
+# such as classify's stack of one, loop over Python complex numbers, which costs less there.
+# Both forms give the same bits.
 _STACK_MIN = 32
 
 
@@ -119,7 +119,7 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
 
 
 def _concurrence(a: complex, b: complex, c: complex, d: complex) -> float:
-    """min(1, 2|ad - bc|) of one row of amplitudes: every concurrence is computed here."""
+    """min(1, 2|ad - bc|) of one row of amplitudes; _det_concurrences is its stacked form."""
     return min(1.0, 2.0 * abs(a * d - b * c))
 
 
@@ -128,35 +128,30 @@ def concurrence(s: PureState) -> float:
     return _concurrence(*s.amps.tolist())
 
 
-def _det_parts(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ad - bc of each row of a stack (N, 4) of _STACK_MIN or
-    more rows, by CPython's complex product and difference (_Py_c_prod, _Py_c_diff) in
-    separate float64 operations.  numpy's complex product may fuse them (FMA) and round
-    differently."""
-    ar, ai, br, bi, cr, ci, dr, di = np.ascontiguousarray(amps).view(np.float64).T
-    return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
-
-
 def _dets(amps: np.ndarray) -> np.ndarray:
     """det M = ad - bc of each row of a stack (..., 4), in concurrence's arithmetic: Python
-    complex numbers below _STACK_MIN rows, _det_parts from there, with the same bits."""
+    complex numbers below _STACK_MIN rows, then CPython's complex product and difference in
+    separate float64 operations, with the same bits (numpy's may fuse them, FMA)."""
     rows = amps.reshape(-1, 4)
     if len(rows) < _STACK_MIN:
         dets = [a * d - b * c for a, b, c, d in rows.tolist()]
         return np.array(dets, dtype=np.complex128).reshape(amps.shape[:-1])
+    ar, ai, br, bi, cr, ci, dr, di = np.ascontiguousarray(rows).view(np.float64).T
     dets = np.empty(len(rows), dtype=np.complex128)
-    dets.real, dets.imag = _det_parts(rows)
+    dets.real = (ar * dr - ai * di) - (br * cr - bi * ci)
+    dets.imag = (ar * di + ai * dr) - (br * ci + bi * cr)
     return dets.reshape(amps.shape[:-1])
+
+
+def _det_concurrences(dets: np.ndarray) -> np.ndarray:
+    """_concurrence's min(1, 2|det|) of each det (any shape), bit for bit: Python's complex
+    abs is hypot (np.abs may differ in the last bit), and fmin, like min(1.0, nan), gives 1."""
+    return np.fmin(2.0 * np.hypot(dets.real, dets.imag), 1.0)
 
 
 def _concurrences(amps: np.ndarray) -> np.ndarray:
     """concurrence of each row of a stack (..., 4), bit for bit."""
-    rows = amps.reshape(-1, 4)
-    if len(rows) < _STACK_MIN:
-        conc = [_concurrence(*row) for row in rows.tolist()]
-        return np.array(conc).reshape(amps.shape[:-1])
-    conc = 2.0 * np.hypot(*_det_parts(rows))  # complex abs is hypot
-    return np.where(conc < 1.0, conc, 1.0).reshape(amps.shape[:-1])  # min(1.0, conc)
+    return _det_concurrences(_dets(amps))
 
 
 @dataclass(frozen=True)

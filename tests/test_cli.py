@@ -105,6 +105,15 @@ def test_classify_non_finite_or_bool_input_exits_2(tmp_path, text, field):
     assert field in res.output
 
 
+def test_classify_overflowing_tau_overlap_exits_2(tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text(_triple_doc([[0, 0], [0, 0], [1, 0], [0, 0]], tolerances={"tau_overlap": 1e200}))
+    res = run("classify", str(doc))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # an input error, not an OverflowError
+    assert "tolerances.tau_overlap" in res.output and "Traceback" not in res.output
+
+
 def test_classify_nonorthogonal_exits_2(tmp_path):
     doc = tmp_path / "bad.json"
     doc.write_text(
@@ -133,6 +142,22 @@ def test_sweep_eq2(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 6
     assert all(",TwoUnidentifiable,1;2," in line for line in lines[1:])
+
+
+def test_sweep_eq2_rejects_grid_l3(tmp_path):
+    out = tmp_path / "sweep2.csv"
+    res = run("sweep", "eq2", "--grid", "0.1:0.9:5", "--grid-l3", "0.1:0.9:5", "--out", str(out))
+    assert res.exit_code == 2
+    assert "--grid-l3 applies to eq1 only" in res.output
+    assert not out.exists()
+
+
+def test_sweep_empty_grid_l3_exits_2(tmp_path):
+    # an empty lam3 grid is malformed, not a request for the default
+    out = tmp_path / "x.csv"
+    res = run("sweep", "eq1", "--grid", "0.1:0.9:5", "--grid-l3", "", "--out", str(out))
+    assert res.exit_code == 2
+    assert "grid ''" in res.output and not out.exists()
 
 
 def test_sweep_byte_stable(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 import qlocc.products
+import qlocc.states
 from qlocc import (
     EnumerationKind,
     HierarchyLabel,
     OrthogonalSet,
+    PureState,
     Subspace,
     Tolerances,
     classify,
@@ -25,15 +27,21 @@ from qlocc import (
     states_equal_up_to_phase,
 )
 from qlocc.cli import main
+from qlocc.discrimination import _decide
+from qlocc.ensembles import _DEFAULT_TOLERANCES, _haar_rows, _row_set
 from qlocc.errors import IndexOutOfRange
 from qlocc.io import emit_document
+from qlocc.states import _concurrence, _unit_rows
 from qlocc.ueb import (
     GeneratorParams,
+    _family_rows,
     generate_eq1,
     generate_eq2,
     random_max_entangled_triple,
     ueb_check,
 )
+
+from conftest import haar_unitary
 
 
 def assert_chefles(ensemble, i, witness, eps_orth=1e-9, tau=1e-7):
@@ -284,20 +292,27 @@ def _haar_family_bell_triples(bell_triple, haar=20):
     return triples + [bell_triple, _all_product_triple()]
 
 
+def _count_calls(monkeypatch, original, record):
+    """Record record(*args) for each call of a qlocc function, under every qlocc module
+    that binds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qlocc":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 def _count_complements(monkeypatch):
     """Record the number of triple complements each call of the stacked complement
     kernel computes, under every qlocc module that binds it."""
-    calls = []
-    original = qlocc.products._complements
-
-    def counting(amps):
-        calls.append(len(amps))
-        return original(amps)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qlocc" and getattr(module, "_complements", None) is original:
-            monkeypatch.setattr(module, "_complements", counting)
-    return calls
+    return _count_calls(monkeypatch, qlocc.products._complements, len)
 
 
 class TestOneComplementPerTriple:
@@ -528,3 +543,126 @@ class TestNearThreshold:
         payload = json.loads(res.output[res.output.index("{"):])
         flags = [s.get("near_threshold", False) for s in payload["states"]]
         assert flags == [False, flagged, flagged]
+
+
+_SYSY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])  # sy x sy
+
+
+def _g(members, v):
+    """G = U^T (sy x sy) U of each triple (N, 4, 4), U's columns the members and v.comp."""
+    rows = np.concatenate([members, v.comp[:, None]], axis=1)
+    return rows @ _SYSY @ rows.mT
+
+
+def _haar_and_family_triples():
+    """200 Haar triples, an eq1 grid and an eq2 grid, as one stack (N, 3, 4)."""
+    lam = np.linspace(0.05, 0.95, 7)
+    eq1 = _family_rows(np.repeat(lam, 7), np.tile(lam, 7))
+    return np.concatenate([_haar_rows(range(96_000, 96_200), 3), eq1, _family_rows(lam)])
+
+
+def _near_product_rotations(count=200, seed=96_500):
+    """eq1(0.3, 0.4) with every member rotated by e in the |00>,|11> plane, C(d) = sin 2e
+    log-uniform in [1e-14, 1e-2]; every other one under a seeded U_A x U_B too."""
+    rng = np.random.default_rng(seed)
+    base = _family_rows(np.array(0.3), np.array(0.4))
+    stacks = []
+    for k in range(count):
+        e = 0.5 * np.arcsin(10 ** rng.uniform(-14, -2))
+        r = np.eye(4)
+        r[0, 0], r[0, 3], r[3, 0], r[3, 3] = np.cos(e), -np.sin(e), np.sin(e), np.cos(e)
+        w = np.kron(haar_unitary(rng), haar_unitary(rng)) if k % 2 else np.eye(4)
+        stacks.append(base @ (w @ r).T)
+    return _unit_rows(np.array(stacks))
+
+
+class TestDecideReadsG:
+    """_decide's readings are entries of G = U^T (sy x sy) U, the matrix of the module
+    docstring's proof, and G obeys the laws that make the verdicts invariant."""
+
+    @pytest.mark.parametrize("make", [_haar_and_family_triples, _near_product_rotations])
+    def test_readings_are_entries_of_g(self, make):
+        members = make()
+        v = _decide(members, _DEFAULT_TOLERANCES)
+        g = _g(members, v)
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        np.testing.assert_allclose(v.conc, np.abs(diag[:, :3]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v.comp_conc, np.abs(diag[:, 3]), rtol=0, atol=1e-14)
+        ent = v.conc >= EPS_ZERO
+        a, b = v.roots
+        np.testing.assert_allclose(b[ent], -diag[:, :3][ent] / 2, rtol=0, atol=1e-14)
+        # with d product, the root besides d is (-c_i, det psi_i) and -c_i = G_id
+        span = ent & v.ueb_span[:, None]
+        assert span.any()
+        np.testing.assert_allclose(a[span], g[:, :3, 3][span], rtol=0, atol=1e-14)
+
+    def test_g_is_symmetric_and_unitary(self):
+        members = np.concatenate([_haar_and_family_triples(), _near_product_rotations()])
+        g = _g(members, _decide(members, _DEFAULT_TOLERANCES))
+        np.testing.assert_allclose(g, g.mT, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g @ g.conj().mT, np.broadcast_to(np.eye(4), g.shape),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_laws_under_local_unitaries_phases_and_permutations(self, perm):
+        members = _haar_and_family_triples()
+        rng = np.random.default_rng(96_900 + 10 * perm[0] + perm[1])
+        ua = np.array([haar_unitary(rng) for _ in members])
+        ub = np.array([haar_unitary(rng) for _ in members])
+        w = np.einsum("nac,nbd->nabcd", ua, ub).reshape(-1, 4, 4)  # U_A x U_B
+        phases = np.exp(2j * np.pi * rng.uniform(size=(len(members), 3)))
+        moved = phases[..., None] * (members[:, list(perm)] @ w.mT)
+        v, v2 = _decide(members, _DEFAULT_TOLERANCES), _decide(moved, _DEFAULT_TOLERANCES)
+        g, g2 = _g(members, v), _g(moved, v2)
+        # d is unique up to a phase, read off the moved complement
+        d_phase = np.sum((w @ v.comp[..., None])[..., 0].conj() * v2.comp, axis=-1)
+        np.testing.assert_allclose(np.abs(d_phase), 1.0, rtol=0, atol=1e-12)
+        dg = np.concatenate([phases, d_phase[:, None]], axis=1)  # D's diagonal
+        p = [*perm, 3]
+        law = (np.linalg.det(ua) * np.linalg.det(ub))[:, None, None] * g[:, p][:, :, p]
+        np.testing.assert_allclose(g2, dg[:, :, None] * law * dg[:, None, :], rtol=0, atol=1e-13)
+        # so the verdicts follow: the hidden mask moves with the members, the rest stays
+        np.testing.assert_array_equal(v2.hidden, v.hidden[:, list(perm)])
+        for field in ("entangled", "labels", "ueb_span", "ueb"):
+            np.testing.assert_array_equal(getattr(v2, field), getattr(v, field))
+        assert v.hidden.any() and not v.hidden.all()
+
+
+class TestDecideConcurrenceBits:
+    """_decide clips its concurrences from G's diagonal; they keep concurrence's bits in
+    either kernel form (np.abs in place of hypot would move some of them)."""
+
+    @staticmethod
+    def _assert_pinned(members, v):
+        for row, c in zip(members.reshape(-1, 4), v.conc.reshape(-1).tolist()):
+            assert c == concurrence(PureState(row))
+        for row, c in zip(v.comp.tolist(), v.comp_conc.tolist()):
+            assert c == _concurrence(*row)
+
+    def test_haar_triples_as_one_stack_and_as_stacks_of_one(self):
+        members = _haar_rows(range(97_000, 99_000), 3)
+        self._assert_pinned(members, _decide(members, _DEFAULT_TOLERANCES))
+        for triple in members[:300, None]:
+            self._assert_pinned(triple, _decide(triple, _DEFAULT_TOLERANCES))
+
+    def test_eq1_grid_block(self):
+        lam = np.linspace(0.001, 0.999, 400)
+        k = np.arange(4096, 2 * 4096)  # the sweep's second block
+        members = _family_rows(lam[k // 400], lam[k % 400])
+        self._assert_pinned(members, _decide(members, _DEFAULT_TOLERANCES))
+
+
+class TestOneDeterminantPass:
+    @pytest.mark.parametrize("count", [1, 64])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_decide_reads_g_from_one_dets_call(self, monkeypatch, n, count):
+        members = _haar_rows(range(count), n)
+        dets = _count_calls(monkeypatch, qlocc.states._dets, lambda amps: amps.shape)
+        concs = [_count_calls(monkeypatch, f, lambda *args: 1) for f in (
+            qlocc.states._concurrences, qlocc.states._concurrence, qlocc.states.concurrence)]
+        _decide(members, _DEFAULT_TOLERANCES)
+        assert dets == [(count, 4 if n == 3 else n, 4)]  # a triple's U adds d
+        dets.clear()
+        classify(_row_set(members[0]))
+        assert len(dets) == 1
+        assert concs == [[], [], []]

@@ -78,6 +78,17 @@ class TestTolerances:
             Tolerances(eps_zero=eps_zero, tau_overlap=tau)
 
     @pytest.mark.parametrize(
+        "tau",
+        [1, 1.0, 2.0, 1e200, pytest.param(np.float64(1e200), id="float64-1e200"),
+         sys.float_info.max, pytest.param(10**300, id="int-1e300")],
+    )
+    @pytest.mark.parametrize("eps_zero", [1e-9, 2.0])
+    def test_tau_of_one_or_more_rejected_before_squaring(self, eps_zero, tau):
+        # an overlap never exceeds 1; squaring 1e200 would raise OverflowError
+        with pytest.raises(BadTolerance, match="tau_overlap: .* too large for eps_zero"):
+            Tolerances(eps_zero=eps_zero, tau_overlap=tau)
+
+    @pytest.mark.parametrize(
         "eps_zero, tau", [(1e-9, 3e-5), (1e-12, 9e-7), (0.5, 0.4), (1.5, 0.7), (2.0, 0.8)]
     )
     def test_tau_within_bound_accepted(self, eps_zero, tau):

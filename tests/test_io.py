@@ -68,6 +68,10 @@ class TestParseDocument:
         with pytest.raises(DocumentError, match=r"states\[1\]\[2\]"):
             parse_document(doc_text(list(bad)))
 
+    def test_overflowing_tau_overlap_named_by_path(self):
+        with pytest.raises(DocumentError, match=r"tolerances\.tau_overlap: .* too large"):
+            parse_document(doc_text(PAIR, tolerances={"tau_overlap": 1e200}))
+
     def test_unknown_tolerance_key(self):
         with pytest.raises(DocumentError, match="unknown"):
             parse_document(doc_text(PAIR, tolerances={"epsilon": 1}))
