@@ -8,12 +8,15 @@ constraints have a nonzero null vector (the existence law of Sanpera, Tarrach
 and Vidal, PRA 58, 826 (1998)).  The scan therefore covers the left sphere
 only: at each left grid point the best right factor is scored exactly, as the
 largest eigenvalue of a 2x2 Hermitian score form.  The best left points are
-refined locally and polished by a Levenberg-Marquardt root find of the
-constraint determinant, with its analytic gradient, and the right factor is
-then read off the constraints' null space.  Product enumeration shares the
-cached grid, the separated picks and the root finder: a 2-D subspace's
-projective line is the left sphere at half the polar angle, so |det| of its
-coefficient matrix is scanned there and its smallest values seed the polish.
+refined locally, several candidates in one stacked pass per round, and
+polished in score order by a Levenberg-Marquardt root find of the constraint
+determinant, with its analytic gradient; the right factor is then read off
+the constraints' null space.  The first accepted witness ends the search, so
+the best candidate is refined alone and the rest only if it is rejected.
+Product enumeration shares the cached grid, the separated picks and the root
+finder: a 2-D subspace's projective line is the left sphere at half the polar
+angle, so |det| of its coefficient matrix is scanned there and its smallest
+values seed the polish.
 Built to over- rather than under-report disagreement: grids are calibrated on
 certified-positive cases and abort when too coarse.
 """
@@ -182,43 +185,52 @@ def _coarse_grid(resolution):
 def _separated_picks(scores, vectors, min_cos):
     """Up to _TOP_K indices, greedy in score order (ties to the lower index):
     each pick is the best point whose dot with every earlier pick is below min_cos."""
-    order = np.argsort(-scores, kind="stable")
-    ranked = vectors[order]
-    free = np.ones(len(order), dtype=bool)
+    left = np.array(scores, dtype=float)  # a copy: the caller's scores stay as they are
     picked = []
-    while len(picked) < _TOP_K and free.any():
-        n = int(np.argmax(free))  # the best ranked point still free
-        picked.append(order[n])
-        free &= ranked @ ranked[n] < min_cos  # clears the pick itself too
+    while len(picked) < _TOP_K:
+        n = int(np.argmax(left))  # the best point still free
+        if left[n] == -np.inf:
+            break
+        picked.append(n)
+        left[vectors @ vectors[n] >= min_cos] = -np.inf  # clears the pick itself too
     return picked
 
 
 def _coarse_candidates(mats, grid):
-    """Top scoring, mutually separated left-qubit angle pairs on the sphere.
+    """Top scoring, mutually separated left-qubit angle pairs on the sphere, as a
+    (K, 2) stack in score order.
 
     Separated as Bloch vectors, so the duplicated poles and the azimuthal
     wrap-around do not count as distinct candidates.
     """
     t, p, lefts, vectors, min_cos = _coarse_grid(grid.resolution)
     picked = _separated_picks(_best_right_score(lefts, mats), vectors, min_cos)
-    return [np.array([t[k], p[k]]) for k in picked]
+    return np.stack([t[picked], p[picked]], axis=-1)
 
 
 def _refine(mats, angles, grid):
-    """Local grid refinement around one left angle pair, shrinking 4x per round."""
+    """Local grid refinement around a (K, 2) stack of left angle pairs, shrinking 4x
+    per round; one score call per round covers every candidate's 9 x 9 mesh."""
     width = 2.0 * np.pi / (grid.resolution - 1)  # two polar steps of the coarse grid
     best = np.asarray(angles, dtype=float)
+    n = len(best)
     steps = np.arange(9.0)[:, None]
+    # best's (theta, phi) as flat offsets into axes: candidate k's block starts at 18 k
+    offsets = np.arange(0, 18 * n, 18)[:, None] + np.array([0, 1])
     for _ in range(ROUNDS):
-        # theta and phi axes as columns, np.linspace(lo, hi, 9) bit for bit; then
-        # _bloch on their 9 x 9 mesh, theta varying slowest, from 9 values per axis
+        # per candidate, theta and phi axes as the columns of a 9 x 2 block,
+        # np.linspace(lo, hi, 9) bit for bit; then _bloch on each block's 9 x 9
+        # mesh, theta varying slowest, from 9 values per axis
         lo, hi = best - width, best + width
-        axes = steps * ((hi - lo) / 8) + lo
-        axes[-1] = hi
-        c, s, e = np.cos(axes[:, 0] / 2.0), np.sin(axes[:, 0] / 2.0), np.exp(1j * axes[:, 1])
-        lefts = np.stack([np.repeat(c, 9), (e * s[:, None]).ravel()], axis=-1)
-        k = int(np.argmax(_best_right_score(lefts, mats)))
-        best = np.array([axes[k // 9, 0], axes[k % 9, 1]])
+        axes = steps * ((hi - lo) / 8)[:, None] + lo[:, None]
+        axes[:, -1] = hi
+        half = axes[..., 0] / 2.0
+        lefts = np.empty((n, 9, 9, 2), dtype=complex)  # candidate, theta, phi, factor
+        lefts[..., 0] = np.cos(half)[..., None]
+        np.multiply(np.exp(1j * axes[:, None, :, 1]), np.sin(half)[..., None], out=lefts[..., 1])
+        k = np.argmax(_best_right_score(lefts.reshape(-1, 2), mats).reshape(n, 81), axis=1)
+        row, col = np.divmod(k, 9)  # the best point's theta and phi indices
+        best = axes.reshape(-1)[offsets + np.stack([2 * row, 2 * col], axis=-1)]
         width /= 4.0
     return best
 
@@ -268,16 +280,22 @@ def _chefles_check(ensemble, i, witness):
 
 
 def _search(ensemble, i, grid):
+    """Polish the refined coarse candidates in score order: the first accepted witness
+    decides, else the best-overlap rejected one.  The best candidate decides most
+    verdicts, so it is refined alone; the rest only once it is rejected, in one
+    stacked pass."""
     others = [j for j in range(len(ensemble)) if j != i]
     mats = np.stack([ensemble[j].matrix.conj() for j in (i, *others)])
+    candidates = _coarse_candidates(mats, grid)
     best = OracleVerdict(False, None, np.inf, 0.0)
-    for cand in _coarse_candidates(mats, grid):
-        witness = _polish(mats, _refine(mats, cand, grid))
-        ok, leak, overlap = _chefles_check(ensemble, i, witness)
-        if ok:
-            return OracleVerdict(True, witness, leak, overlap)
-        if overlap > best.overlap:
-            best = OracleVerdict(False, witness, leak, overlap)
+    for stack in (candidates[:1], candidates[1:]):
+        for angles in _refine(mats, stack, grid):
+            witness = _polish(mats, angles)
+            ok, leak, overlap = _chefles_check(ensemble, i, witness)
+            if ok:
+                return OracleVerdict(True, witness, leak, overlap)
+            if overlap > best.overlap:
+                best = OracleVerdict(False, witness, leak, overlap)
     return best
 
 

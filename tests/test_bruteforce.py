@@ -23,14 +23,18 @@ from qlocc import (
 from qlocc import bruteforce
 from qlocc.bruteforce import (
     _TOP_K,
+    OracleVerdict,
     _best_right_score,
     _bloch,
+    _chefles_check,
     _coarse_candidates,
     _coarse_grid,
     _lm_root,
     _mesh,
     _pencil_det,
+    _polish,
     _refine,
+    _search,
     _separated_picks,
 )
 from qlocc.ensembles import _haar_rows
@@ -248,16 +252,39 @@ def _refine_loop(conj_mats, i, others, angles, resolution):
     return best, meshes
 
 
-def _pin_cases():
-    """(name, conj_mats, i, others, mats) for every member of the Bell triple, the eq1
-    points, eq2 over _FAMILY_GRID and 50 Haar triples; mats as the oracle stacks them."""
+def _search_loop(ensemble, i, grid):
+    """The per-candidate search: each coarse candidate refined alone, then polished and
+    checked, in score order, until one is accepted; else the best-overlap rejected one."""
+    conj_mats = [s.matrix.conj() for s in ensemble.states]
+    others = [j for j in range(3) if j != i]
+    mats = np.stack([conj_mats[j] for j in (i, *others)])
+    best = OracleVerdict(False, None, np.inf, 0.0)
+    for cand in _coarse_candidates(mats, grid):
+        angles, _ = _refine_loop(conj_mats, i, others, cand, grid.resolution)
+        witness = _polish(mats, angles)
+        ok, leak, overlap = _chefles_check(ensemble, i, witness)
+        if ok:
+            return OracleVerdict(True, witness, leak, overlap)
+        if overlap > best.overlap:
+            best = OracleVerdict(False, witness, leak, overlap)
+    return best
+
+
+def _pin_sets():
+    """(name, ensemble) for the Bell triple, the eq1 points, eq2 over _FAMILY_GRID and
+    50 Haar triples."""
     bell = OrthogonalSet(tuple(make_state(a) for a in bruteforce._BELL_TRIPLE_AMPS))
     sets = [("bell", bell)]
     sets += [(f"eq1 {point}", ens) for point, ens in zip(_EQ1_POINTS, _sets(_family_rows(*_EQ1_LAMS)))]
     sets += [(f"eq2 {l1:.2f}", ens) for l1, ens in zip(_FAMILY_GRID, _sets(_family_rows(_FAMILY_GRID)))]
     haar = _sets(_haar_rows(range(DEFAULT_SEED, DEFAULT_SEED + 50), 3))
-    sets += [(f"haar {k}", ens) for k, ens in enumerate(haar)]
-    for name, ens in sets:
+    return sets + [(f"haar {k}", ens) for k, ens in enumerate(haar)]
+
+
+def _pin_cases():
+    """(name, conj_mats, i, others, mats) for every member of the _pin_sets ensembles;
+    mats as the oracle stacks them."""
+    for name, ens in _pin_sets():
         conj_mats = [s.matrix.conj() for s in ens.states]
         for i in range(3):
             others = [j for j in range(3) if j != i]
@@ -266,6 +293,10 @@ def _pin_cases():
 
 def _raw(arrays):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _verdict_bits(verdict):
+    return verdict.identifiable, verdict.residual, verdict.overlap, _raw([verdict.witness.amps])
 
 
 @pytest.mark.filterwarnings("error")
@@ -289,13 +320,42 @@ class TestGridStagesMatchLoopForms:
             return _best_right_score(lefts, mats)
 
         monkeypatch.setattr(bruteforce, "_best_right_score", recording_score)
+        coarse8 = GridSpec(resolution=8)
+        fewer = 0
         for name, conj_mats, i, others, mats in _pin_cases():
-            for cand in _coarse_loop(conj_mats, i, others, GRID.resolution)[:2]:
-                meshes.clear()
-                best = _refine(mats, cand, GRID)
-                expected, expected_meshes = _refine_loop(conj_mats, i, others, cand, GRID.resolution)
-                assert _raw(meshes) == _raw(expected_meshes), (name, i)
-                assert _raw([best]) == _raw([expected]), (name, i)
+            # all of a verdict's coarse picks, the best alone and the rest (the two
+            # stacks _search refines); on the Bell and Haar members also resolution 8's
+            # picks, of which there are at most 4 (see
+            # test_pick_with_fewer_than_top_k_separated_points)
+            stacks = [(GRID, np.array(_coarse_loop(conj_mats, i, others, GRID.resolution)))]
+            if not name.startswith("eq"):
+                stacks.append((coarse8, np.array(_coarse_loop(conj_mats, i, others, 8))))
+                fewer += len(stacks[-1][1]) < _TOP_K
+            for grid, stack in stacks:
+                expected = [_refine_loop(conj_mats, i, others, c, grid.resolution) for c in stack]
+                for part in (slice(None), slice(1), slice(1, None)):
+                    meshes.clear()
+                    best = _refine(mats, stack[part], grid)
+                    # one score call per round, on the candidates' 81-row meshes in stack order
+                    assert [m.shape for m in meshes] == [(81 * len(best), 2)] * bruteforce.ROUNDS
+                    assert best.shape == stack[part].shape
+                    for k, (angles, loop_meshes) in enumerate(expected[part]):
+                        own = [m[81 * k : 81 * (k + 1)] for m in meshes]
+                        assert _raw(own) == _raw(loop_meshes), (name, i, grid, k)
+                        assert _raw([best[k]]) == _raw([angles]), (name, i, grid, k)
+        assert fewer > 0
+
+    def test_search_matches_the_per_candidate_loop(self):
+        # the best candidate refined alone and the rest in one stacked pass, polished in
+        # score order: the early exit on the first accepted witness and the best-overlap
+        # rejected one must both survive
+        kinds = set()
+        for name, ens in _pin_sets():
+            for i in range(3):
+                expected = _search_loop(ens, i, GRID)
+                kinds.add(expected.identifiable)
+                assert _verdict_bits(_search(ens, i, GRID)) == _verdict_bits(expected), (name, i)
+        assert kinds == {True, False}
 
     def test_pick_breaks_ties_to_the_lower_index(self):
         _, _, _, vectors, min_cos = _coarse_grid(GRID.resolution)
@@ -304,6 +364,40 @@ class TestGridStagesMatchLoopForms:
             picks = _separated_picks(scores, vectors, min_cos)
             assert len(picks) == _TOP_K and picks == _pick_loop(scores, vectors, min_cos)
         assert _separated_picks(np.zeros(len(vectors)), vectors, min_cos)[0] == 0
+
+    def test_pick_never_writes_its_scores(self):
+        _, _, _, vectors, min_cos = _coarse_grid(GRID.resolution)
+        scores = np.random.default_rng(7).random(len(vectors))
+        scores.flags.writeable = False  # a write would raise
+        before = scores.copy()
+        picks = _separated_picks(scores, vectors, min_cos)
+        assert picks == _pick_loop(scores, vectors, min_cos)
+        assert _raw([scores]) == _raw([before])
+
+    def test_pick_matches_the_loop_on_product_scan_dets(self, monkeypatch):
+        # the product scan picks from -|det|: every score is <= 0, and -0.0 ties
+        # where det vanishes exactly (the pole row of |00>, (|01> + |10>)/sqrt2)
+        calls = []
+
+        def recording_picks(scores, vectors, min_cos):
+            calls.append((scores, vectors, min_cos))
+            return _separated_picks(scores, vectors, min_cos)
+
+        monkeypatch.setattr(bruteforce, "_separated_picks", recording_picks)
+        h = 1 / math.sqrt(2)
+        subs = [Subspace((make_state([1, 0, 0, 0]), make_state([0, h, h, 0])))]
+        subs += [Subspace((make_state(a), make_state(b))) for a, b in (
+            ([1, 0, 0, 1], [0, 1, -1, 0]),
+            ([0, math.sqrt(0.3), math.sqrt(0.7), 0], [0, 0, 0, 1]),
+        )]
+        subs += [Subspace(ens.states) for ens in _sets(_haar_rows(range(40), 2))]
+        for sub in subs:
+            oracle_product_scan(sub, GRID)
+        assert len(calls) == len(subs)
+        assert any((scores == 0).sum() > 1 for scores, _, _ in calls)
+        for scores, vectors, min_cos in calls:
+            assert scores.max() <= 0
+            assert _separated_picks(scores, vectors, min_cos) == _pick_loop(scores, vectors, min_cos)
 
     def test_pick_clears_dots_at_the_bound(self):
         # (1, 0, 0) . (0.5, y, 0) is exactly 0.5: a dot equal to min_cos is not separated
