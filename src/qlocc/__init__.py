@@ -26,8 +26,6 @@ from .states import (
     entanglement_profile,
     is_product,
     make_state,
-    product_state,
-    states_equal_up_to_phase,
 )
 from .ueb import (
     GeneratorParams,

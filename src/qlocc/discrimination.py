@@ -34,10 +34,11 @@ At exactly 1, a complement concurrence rounding below 1 defeats the argument
 Each rule is written once.  _decide holds the witness rule and the UEB rule (all
 three members entangled, d product); every entry point and the sweep read its
 _Verdicts.  It reads G's diagonal from one states._dets call on U's columns (the
-members, and d for a triple): det = -G_kk / 2 and C = min(1, |G_kk|) in concurrence's
-bits, on which it counts a member entangled when C >= eps_zero, as
-OrthogonalSet.entangled_count does; column d is c_i = -G_id.  _PERFECT_MAX holds the
-perfect-LOCC rule, read by the triple label, the report and perfectly_distinguishable.
+members, and d for a triple): det = -G_kk / 2 and C = min(1, |G_kk|) by
+states._det_concurrences, which concurrence and OrthogonalSet.entangled_count run too,
+and counts a member entangled when C >= eps_zero; column d is c_i = -G_id, read from a
+C-contiguous copy (matmul's bits follow the layout), and overlaps take hypot moduli.
+_PERFECT_MAX holds the perfect-LOCC rule (triple label, report, perfectly_distinguishable).
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ _FLIP = np.array([1.0, -1.0, -1.0, 1.0])
 
 def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
     """The module docstring's rule on a stack (N, n, 4) of orthonormal members."""
+    amps = np.ascontiguousarray(amps)  # no copy for classify's stack of one
     n = amps.shape[1]
     if n == 3:  # a triple's U has a fourth column, its unit complement d
         d = _complements(amps)
@@ -151,7 +153,8 @@ def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
     q = -(c1 + np.where(abs(c1 + sq) > abs(c1 - sq), sq, -sq)) / 2.0
     a = np.where(ent, np.where(span[:, None], -c1, q), 1.0)
     b = np.where(ent, det, 0.0)
-    hidden = ~(np.abs(a) / np.hypot(np.abs(a), np.abs(b)) > tol.tau_overlap)  # the overlap
+    mod_a, mod_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
+    hidden = ~(mod_a / np.hypot(mod_a, mod_b) > tol.tau_overlap)  # the overlap
     labels = np.where(entangled <= _PERFECT_MAX[3], 0, 1 + hidden.sum(1))  # 0: PERFECT_LOCC
     ueb = span & (entangled == 3)
     return _Verdicts(conc, entangled, hidden, labels, d, comp_conc, span, ueb, (a, b))

@@ -14,7 +14,6 @@ from .states import (
     EPS_ORTH,
     EPS_ZERO,
     PureState,
-    _concurrence,
     _concurrences,
     _entropies,
     _unit_rows,
@@ -100,10 +99,7 @@ class OrthogonalSet:
 
     def entangled_count(self) -> int:
         """Number of members with concurrence >= eps_zero, counted as _decide counts them."""
-        eps, count = self.tolerances.eps_zero, 0
-        for row in self._rows.tolist():
-            count += _concurrence(*row) >= eps
-        return count
+        return int(np.count_nonzero(_concurrences(self._rows) >= self.tolerances.eps_zero))
 
     def span_projector(self) -> np.ndarray:
         """Orthogonal projector onto the span of the members."""

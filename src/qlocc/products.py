@@ -130,19 +130,14 @@ def _complements(amps: np.ndarray) -> np.ndarray:
 
 
 def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
-    """Orthonormal basis of the orthogonal complement of the input's span.
-
-    Three members leave one state, their conjugated cofactor vector
-    (_complements); fewer take the null space of an SVD.
-    """
+    """The one state orthogonal to three members: their conjugated cofactor vector
+    (_complements).  Four members raise FullSpace, fewer than three BadDimension."""
     b = source.matrix()
-    if b.shape[1] >= 4:
+    if b.shape[1] == 4:
         raise FullSpace("input spans the whole two-qubit space")
-    if b.shape[1] == 3:
-        return Subspace((make_state(_complements(b.T[None])[0]),))
-    _, _, vh = np.linalg.svd(b.conj().T, full_matrices=True)
-    comp = vh[b.shape[1]:].conj()
-    return Subspace(tuple(make_state(comp[k]) for k in range(comp.shape[0])))
+    if b.shape[1] != 3:
+        raise BadDimension(f"expected 3 members, got {b.shape[1]}")
+    return Subspace((make_state(_complements(b.T[None])[0]),))
 
 
 def product_states_in_2d(sub: Subspace) -> ProductStateEnumeration:

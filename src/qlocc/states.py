@@ -19,10 +19,10 @@ EPS_ZERO = 1e-9
 EPS_ORTH = 1e-9
 
 
-def _canonical_phase(amps: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible amplitude is real >= 0."""
+def _canonical_phase(amps: np.ndarray) -> np.ndarray:
+    """Rotate the global phase so the first amplitude above EPS_ZERO is real >= 0."""
     for a in amps.tolist():
-        if abs(a) > eps_zero:
+        if abs(a) > EPS_ZERO:
             return amps * (abs(a) / a)
     return amps
 
@@ -85,17 +85,8 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     return a * _phase_factors(lead.reshape(-1)).reshape(lead.shape)
 
 
-# From this many rows on, _phase_factors and _dets take their column form; smaller stacks,
-# such as classify's stack of one, loop over Python complex numbers, which costs less there.
-# Both forms give the same bits.
-_STACK_MIN = 32
-
-
 def _phase_factors(z: np.ndarray) -> np.ndarray:
     """_canonical_phase's factor |z| / z of each lead z (N,), or 1 where |z| <= EPS_ZERO."""
-    if len(z) < _STACK_MIN:
-        factor = [abs(w) / w if abs(w) > EPS_ZERO else 1.0 for w in z.tolist()]
-        return np.array(factor, dtype=np.complex128)
     # CPython's _Py_c_quot of (r, 0.0) by (br, bi), both branches, with its exact operations
     r, br, bi = np.hypot(z.real, z.imag), z.real, z.imag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -113,25 +104,16 @@ def _phase_factors(z: np.ndarray) -> np.ndarray:
     return factor
 
 
-def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    """Whether two states coincide up to a global phase."""
-    return abs(abs(a.overlap(b)) - 1.0) < tol
-
-
-def _concurrence(a: complex, b: complex, c: complex, d: complex) -> float:
-    """min(1, 2|ad - bc|) of one row of amplitudes; _det_concurrences is its stacked form."""
-    return min(1.0, 2.0 * abs(a * d - b * c))
-
-
-def concurrence(s: PureState) -> float:
-    """Concurrence 2|det M| = 2|ad - bc|: 0 for product states, 1 for maximally entangled."""
-    return _concurrence(*s.amps.tolist())
+# From this many rows on, _dets takes its column form; smaller stacks, such as classify's
+# stack of one, loop over Python complex numbers, which costs less there. Both forms give
+# the same bits.
+_STACK_MIN = 32
 
 
 def _dets(amps: np.ndarray) -> np.ndarray:
-    """det M = ad - bc of each row of a stack (..., 4), in concurrence's arithmetic: Python
-    complex numbers below _STACK_MIN rows, then CPython's complex product and difference in
-    separate float64 operations, with the same bits (numpy's may fuse them, FMA)."""
+    """det M = ad - bc of each row of a stack (..., 4): Python complex numbers below
+    _STACK_MIN rows, then CPython's complex product and difference in separate float64
+    operations, with the same bits (numpy's may fuse them, FMA)."""
     rows = amps.reshape(-1, 4)
     if len(rows) < _STACK_MIN:
         dets = [a * d - b * c for a, b, c, d in rows.tolist()]
@@ -144,14 +126,19 @@ def _dets(amps: np.ndarray) -> np.ndarray:
 
 
 def _det_concurrences(dets: np.ndarray) -> np.ndarray:
-    """_concurrence's min(1, 2|det|) of each det (any shape), bit for bit: Python's complex
-    abs is hypot (np.abs may differ in the last bit), and fmin, like min(1.0, nan), gives 1."""
+    """Concurrence min(1, 2|det|) of each det (any shape): the modulus is hypot, as Python's
+    complex abs is (np.abs may differ in the last bit), and fmin, like min(1.0, nan), gives 1."""
     return np.fmin(2.0 * np.hypot(dets.real, dets.imag), 1.0)
 
 
 def _concurrences(amps: np.ndarray) -> np.ndarray:
-    """concurrence of each row of a stack (..., 4), bit for bit."""
+    """Concurrence of each row of a stack (..., 4); concurrence is its stack of one."""
     return _det_concurrences(_dets(amps))
+
+
+def concurrence(s: PureState) -> float:
+    """Concurrence 2|det M| = 2|ad - bc|: 0 for product states, 1 for maximally entangled."""
+    return float(_concurrences(s.amps))
 
 
 @dataclass(frozen=True)
@@ -188,17 +175,13 @@ def is_product(s: PureState, eps_zero: float = EPS_ZERO):
     """Decide whether a state factors, returning single-qubit factors when it does.
 
     Returns (True, (left, right)) with normalized single-qubit factor vectors,
-    or (False, None).
+    or (False, None).  eps_zero is a concurrence tolerance; the factors' phases
+    are fixed as make_state fixes them, at its amplitude cutoff EPS_ZERO.
     """
     if concurrence(s) >= eps_zero:
         return False, None
     u, sv, vh = np.linalg.svd(s.matrix)
-    left = _canonical_phase(u[:, 0], eps_zero)
-    right = _canonical_phase(sv[0] * vh[0, :], eps_zero)
+    left = _canonical_phase(u[:, 0])
+    right = _canonical_phase(sv[0] * vh[0, :])
     right = right / np.linalg.norm(right)
     return True, (left, right)
-
-
-def product_state(left, right) -> PureState:
-    """Tensor product of two single-qubit amplitude pairs."""
-    return make_state(np.outer(np.asarray(left), np.asarray(right)).reshape(4))

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -252,15 +253,12 @@ def _refine_loop(conj_mats, i, others, angles, resolution):
     return best, meshes
 
 
-def _search_loop(ensemble, i, grid):
-    """The per-candidate search: each coarse candidate refined alone, then polished and
-    checked, in score order, until one is accepted; else the best-overlap rejected one."""
-    conj_mats = [s.matrix.conj() for s in ensemble.states]
-    others = [j for j in range(3) if j != i]
-    mats = np.stack([conj_mats[j] for j in (i, *others)])
+def _search_loop(ensemble, i, mats, refined):
+    """The per-candidate search: each coarse candidate refined alone (refined, in score
+    order), then polished and checked in that order until one is accepted; else the
+    best-overlap rejected one."""
     best = OracleVerdict(False, None, np.inf, 0.0)
-    for cand in _coarse_candidates(mats, grid):
-        angles, _ = _refine_loop(conj_mats, i, others, cand, grid.resolution)
+    for angles, _ in refined:
         witness = _polish(mats, angles)
         ok, leak, overlap = _chefles_check(ensemble, i, witness)
         if ok:
@@ -281,14 +279,36 @@ def _pin_sets():
     return sets + [(f"haar {k}", ens) for k, ens in enumerate(haar)]
 
 
+@functools.cache
 def _pin_cases():
-    """(name, conj_mats, i, others, mats) for every member of the _pin_sets ensembles;
+    """(name, ens, conj_mats, i, others, mats) for every member of the _pin_sets ensembles;
     mats as the oracle stacks them."""
+    cases = []
     for name, ens in _pin_sets():
         conj_mats = [s.matrix.conj() for s in ens.states]
         for i in range(3):
             others = [j for j in range(3) if j != i]
-            yield name, conj_mats, i, others, np.stack([conj_mats[j] for j in (i, *others)])
+            mats = np.stack([conj_mats[j] for j in (i, *others)])
+            cases.append((name, ens, conj_mats, i, others, mats))
+    return tuple(cases)
+
+
+# The loop references of a _pin_cases case at a resolution, computed once per session:
+# three tests read them, and the picks are read-only.
+@functools.cache
+def _coarse_reference(case, resolution):
+    _, _, conj_mats, i, others, _ = _pin_cases()[case]
+    picks = np.array(_coarse_loop(conj_mats, i, others, resolution))
+    picks.flags.writeable = False
+    return picks
+
+
+@functools.cache
+def _refine_reference(case, resolution):
+    """(angles, meshes) of _refine_loop on each of the case's coarse picks."""
+    _, _, conj_mats, i, others, _ = _pin_cases()[case]
+    picks = _coarse_reference(case, resolution)
+    return [_refine_loop(conj_mats, i, others, c, resolution) for c in picks]
 
 
 def _raw(arrays):
@@ -303,13 +323,13 @@ def _verdict_bits(verdict):
 class TestGridStagesMatchLoopForms:
     def test_score_matches_the_member_loop(self):
         lefts = _coarse_grid(GRID.resolution)[2]
-        for name, conj_mats, i, others, mats in _pin_cases():
+        for name, _, conj_mats, i, others, mats in _pin_cases():
             expected = _score_loop(lefts, conj_mats, i, others)
             assert _raw([_best_right_score(lefts, mats)]) == _raw([expected]), (name, i)
 
     def test_coarse_candidates_match_the_greedy_loop(self):
-        for name, conj_mats, i, others, mats in _pin_cases():
-            expected = _coarse_loop(conj_mats, i, others, GRID.resolution)
+        for case, (name, _, _, i, _, mats) in enumerate(_pin_cases()):
+            expected = list(_coarse_reference(case, GRID.resolution))
             assert _raw(_coarse_candidates(mats, GRID)) == _raw(expected), (name, i)
 
     def test_refine_meshes_match_linspace_meshes(self, monkeypatch):
@@ -322,17 +342,16 @@ class TestGridStagesMatchLoopForms:
         monkeypatch.setattr(bruteforce, "_best_right_score", recording_score)
         coarse8 = GridSpec(resolution=8)
         fewer = 0
-        for name, conj_mats, i, others, mats in _pin_cases():
+        for case, (name, _, _, i, _, mats) in enumerate(_pin_cases()):
             # all of a verdict's coarse picks, the best alone and the rest (the two
             # stacks _search refines); on the Bell and Haar members also resolution 8's
             # picks, of which there are at most 4 (see
             # test_pick_with_fewer_than_top_k_separated_points)
-            stacks = [(GRID, np.array(_coarse_loop(conj_mats, i, others, GRID.resolution)))]
-            if not name.startswith("eq"):
-                stacks.append((coarse8, np.array(_coarse_loop(conj_mats, i, others, 8))))
-                fewer += len(stacks[-1][1]) < _TOP_K
-            for grid, stack in stacks:
-                expected = [_refine_loop(conj_mats, i, others, c, grid.resolution) for c in stack]
+            grids = [GRID] + ([] if name.startswith("eq") else [coarse8])
+            fewer += len(grids) > 1 and len(_coarse_reference(case, 8)) < _TOP_K
+            for grid in grids:
+                stack = _coarse_reference(case, grid.resolution)
+                expected = _refine_reference(case, grid.resolution)
                 for part in (slice(None), slice(1), slice(1, None)):
                     meshes.clear()
                     best = _refine(mats, stack[part], grid)
@@ -350,11 +369,10 @@ class TestGridStagesMatchLoopForms:
         # score order: the early exit on the first accepted witness and the best-overlap
         # rejected one must both survive
         kinds = set()
-        for name, ens in _pin_sets():
-            for i in range(3):
-                expected = _search_loop(ens, i, GRID)
-                kinds.add(expected.identifiable)
-                assert _verdict_bits(_search(ens, i, GRID)) == _verdict_bits(expected), (name, i)
+        for case, (name, ens, _, i, _, mats) in enumerate(_pin_cases()):
+            expected = _search_loop(ens, i, mats, _refine_reference(case, GRID.resolution))
+            kinds.add(expected.identifiable)
+            assert _verdict_bits(_search(ens, i, GRID)) == _verdict_bits(expected), (name, i)
         assert kinds == {True, False}
 
     def test_pick_breaks_ties_to_the_lower_index(self):

@@ -24,14 +24,13 @@ from qlocc import (
     perfectly_distinguishable,
     product_states_in_2d,
     random_orthogonal_set,
-    states_equal_up_to_phase,
 )
 from qlocc.cli import main
 from qlocc.discrimination import _decide
 from qlocc.ensembles import _DEFAULT_TOLERANCES, _haar_rows, _row_set
 from qlocc.errors import IndexOutOfRange
 from qlocc.io import emit_document
-from qlocc.states import _concurrence, _unit_rows
+from qlocc.states import _unit_rows
 from qlocc.ueb import (
     GeneratorParams,
     _family_rows,
@@ -41,7 +40,13 @@ from qlocc.ueb import (
     ueb_check,
 )
 
-from conftest import haar_unitary
+from conftest import (
+    haar_unitary,
+    product_state,
+    scalar_concurrence,
+    states_equal_up_to_phase,
+    svd_orthocomplement,
+)
 
 
 def assert_chefles(ensemble, i, witness, eps_orth=1e-9, tau=1e-7):
@@ -65,8 +70,6 @@ class TestConclusivelyIdentifiable:
             assert_chefles(bell_triple, i, witness)
 
     def test_bell_triple_first_witness(self, bell_triple):
-        from qlocc import product_state
-
         ok, witness = conclusively_identifiable(bell_triple, 0)
         assert ok
         candidates = [
@@ -379,7 +382,7 @@ class TestOneComplementPerTriple:
             d = orthocomplement(ens).basis[0]
             for i in range(3):
                 others = OrthogonalSet(tuple(s for j, s in enumerate(ens.states) if j != i))
-                ref = orthocomplement(others).matrix()
+                ref = svd_orthocomplement(others).matrix()
                 plane = Subspace((ens[i], d)).matrix()
                 np.testing.assert_allclose(
                     plane @ plane.conj().T, ref @ ref.conj().T, atol=1e-9
@@ -629,15 +632,15 @@ class TestDecideReadsG:
 
 
 class TestDecideConcurrenceBits:
-    """_decide clips its concurrences from G's diagonal; they keep concurrence's bits in
-    either kernel form (np.abs in place of hypot would move some of them)."""
+    """_decide clips its concurrences from G's diagonal; they keep the bits of Python's
+    per-row rule in either kernel form (np.abs in place of hypot would move some of them)."""
 
     @staticmethod
     def _assert_pinned(members, v):
         for row, c in zip(members.reshape(-1, 4), v.conc.reshape(-1).tolist()):
-            assert c == concurrence(PureState(row))
-        for row, c in zip(v.comp.tolist(), v.comp_conc.tolist()):
-            assert c == _concurrence(*row)
+            assert c == scalar_concurrence(row) == concurrence(PureState(row))
+        for row, c in zip(v.comp, v.comp_conc.tolist()):
+            assert c == scalar_concurrence(row)
 
     def test_haar_triples_as_one_stack_and_as_stacks_of_one(self):
         members = _haar_rows(range(97_000, 99_000), 3)
@@ -652,6 +655,71 @@ class TestDecideConcurrenceBits:
         self._assert_pinned(members, _decide(members, _DEFAULT_TOLERANCES))
 
 
+def _assert_same_verdicts(v, w):
+    for x, y in zip(v, w):
+        assert (x is None) == (y is None)
+        for a, b in zip(x, y) if isinstance(x, tuple) else [(x, y)] if x is not None else []:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _joined(chunks):
+    """The _Verdicts fields of consecutive stacks, joined as one stack's."""
+    fields = []
+    for x in zip(*chunks):
+        if x[0] is None:
+            fields.append(None)
+        elif isinstance(x[0], tuple):  # roots
+            fields.append(tuple(np.concatenate(part) for part in zip(*x)))
+        else:
+            fields.append(np.concatenate(x))
+    return fields
+
+
+class TestDecideBitsAreReproducible:
+    """A verdict near tau_overlap is decided on the overlap that Python's abs gives, and on
+    the same bits whatever the memory layout of the stack that carries the members."""
+
+    @staticmethod
+    def _overlap(a, b):
+        """|a| / |(|a|, |b|)| with Python's complex abs, libm's hypot (math.hypot is not)."""
+        return abs(a) / abs(complex(abs(a), abs(b)))
+
+    def test_the_overlap_rounds_as_pythons_abs(self):
+        tol = Tolerances(eps_zero=0.5, tau_overlap=0.42256267815457565)
+        ens = OrthogonalSet(random_orthogonal_set(0).states, tolerances=tol)
+        a, b = (complex(x[0, 1]) for x in _decide(ens._rows[None], tol).roots)
+        assert self._overlap(a, b) == tol.tau_overlap  # not above it: hidden
+        assert conclusively_identifiable(ens, 1) == (False, None)
+
+    def test_every_member_at_its_own_overlap_is_hidden(self):
+        # tau set to a member's scalar overlap, the knife edge, hides exactly that member
+        members = np.ascontiguousarray(_haar_rows(range(2000), 3))
+        v = _decide(members, Tolerances(eps_zero=0.5))
+        edges = 0
+        for k, i in zip(*np.nonzero(v.conc >= 0.5)):
+            overlap = self._overlap(complex(v.roots[0][k, i]), complex(v.roots[1][k, i]))
+            if 0.0 < overlap < 0.57:  # Tolerances admits tau_overlap below 1/sqrt(3) here
+                edges += 1
+                tol = Tolerances(eps_zero=0.5, tau_overlap=overlap)
+                assert _decide(members[k : k + 1], tol).hidden[0, i], (k, i)
+        assert edges > 300
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_strided_stack_decides_as_its_contiguous_copy(self, n):
+        members = _haar_rows(range(2000), n)  # a transposed view: strides (192, 16, 48)
+        assert not members.flags.c_contiguous
+        for stack in (members, np.asfortranarray(members)):
+            copy = np.ascontiguousarray(stack)
+            _assert_same_verdicts(_decide(stack, _DEFAULT_TOLERANCES),
+                                  _decide(copy, _DEFAULT_TOLERANCES))
+        # and as strided chunks of a few members: neither layout nor size moves a bit
+        whole = _decide(members[:210], _DEFAULT_TOLERANCES)
+        for size in (1, 7):
+            chunks = [_decide(members[k : k + size], _DEFAULT_TOLERANCES)
+                      for k in range(0, 210, size)]
+            _assert_same_verdicts(whole, _joined(chunks))
+
+
 class TestOneDeterminantPass:
     @pytest.mark.parametrize("count", [1, 64])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -659,10 +727,10 @@ class TestOneDeterminantPass:
         members = _haar_rows(range(count), n)
         dets = _count_calls(monkeypatch, qlocc.states._dets, lambda amps: amps.shape)
         concs = [_count_calls(monkeypatch, f, lambda *args: 1) for f in (
-            qlocc.states._concurrences, qlocc.states._concurrence, qlocc.states.concurrence)]
+            qlocc.states._concurrences, qlocc.states.concurrence)]
         _decide(members, _DEFAULT_TOLERANCES)
         assert dets == [(count, 4 if n == 3 else n, 4)]  # a triple's U adds d
         dets.clear()
         classify(_row_set(members[0]))
         assert len(dets) == 1
-        assert concs == [[], [], []]
+        assert concs == [[], []]

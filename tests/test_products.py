@@ -13,17 +13,21 @@ from qlocc import (
     make_state,
     oracle_product_scan,
     orthocomplement,
-    product_state,
     product_states_in_2d,
     quadratic_roots,
     random_orthogonal_set,
-    states_equal_up_to_phase,
 )
 from qlocc.errors import BadDimension, FullSpace
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
 from qlocc.verify import _FAMILY_GRID, _family_rows
 
-from conftest import haar_unitary, random_states
+from conftest import (
+    haar_unitary,
+    product_state,
+    random_states,
+    states_equal_up_to_phase,
+    svd_orthocomplement,
+)
 
 
 def assert_common_factor(enum, side, factor):
@@ -103,11 +107,14 @@ class TestOrthocomplement:
 
     def test_dimension_counts(self):
         pair = random_orthogonal_set(2, size=2)
-        comp = orthocomplement(pair)
+        comp = svd_orthocomplement(pair)
         assert comp.dim == 2
         for c in comp.basis:
             for s in pair.states:
                 assert abs(c.overlap(s)) < 1e-9
+        for fewer in (pair, Subspace(pair.states[:1])):
+            with pytest.raises(BadDimension):
+                orthocomplement(fewer)
 
     def test_full_space_rejected(self, bell_basis):
         with pytest.raises(FullSpace):

@@ -11,9 +11,7 @@ from qlocc import (
     entanglement_profile,
     is_product,
     make_state,
-    product_state,
     random_orthogonal_set,
-    states_equal_up_to_phase,
 )
 from qlocc.discrimination import _decide
 from qlocc.ensembles import _DEFAULT_TOLERANCES, _haar_unitaries
@@ -29,7 +27,13 @@ from qlocc.states import (
 )
 from qlocc.ueb import _family_rows
 
-from conftest import SQ2, random_states
+from conftest import (
+    SQ2,
+    product_state,
+    random_states,
+    scalar_concurrence,
+    states_equal_up_to_phase,
+)
 
 
 def schmidt_oracle(state):
@@ -138,11 +142,15 @@ class TestStackedKernelsBitIdentical:
     """The stacked kernels repeat the scalar arithmetic exactly, so sweep CSVs
     (12 significant digits) match the per-point path byte for byte."""
 
-    def test_unit_rows_is_make_state(self):
-        rows = _mixed_rows(21)
+    @pytest.mark.parametrize("make", [
+        lambda: _mixed_rows(21),
+        lambda: _edge_rows(33, 3999),
+        lambda: _haar_unitaries(range(2000)).reshape(-1, 4),
+    ], ids=["mixed", "edge", "haar"])
+    def test_unit_rows_is_make_state(self, make):
+        rows = make()
         stacked = _unit_rows(rows.reshape(-1, 2, 4)).reshape(-1, 4)
-        for row, got in zip(rows, stacked):
-            np.testing.assert_array_equal(got, make_state(row).amps)
+        _assert_same_bits(stacked, np.array([make_state(row).amps for row in rows]))
 
     @pytest.mark.parametrize(
         "amps, error",
@@ -163,7 +171,7 @@ class TestStackedKernelsBitIdentical:
         conc = _concurrences(amps).reshape(-1)
         dets = _dets(amps).reshape(-1)
         for s, c, d in zip(states, conc, dets):
-            assert c == concurrence(s)
+            assert c == concurrence(s) == scalar_concurrence(s.amps)
             assert c == min(1.0, 2.0 * abs(complex(d)))
 
     def test_entropies_and_average(self):
@@ -209,10 +217,19 @@ def _edge_rows(seed, n=4000):
     return np.concatenate([led, parts.view(np.complex128)])
 
 
+def _phase_factor_loop(z):
+    """The per-lead loop that _phase_factors' column form replaced, kept as its reference."""
+    factor = [abs(w) / w if abs(w) > EPS_ZERO else 1.0 for w in z.tolist()]
+    return np.array(factor, dtype=np.complex128)
+
+
 def _both_forms(monkeypatch, kernel, *args):
-    """kernel(*args) through the per-row form and through the column form, at any size."""
+    """kernel(*args) through the per-row forms (_dets' loop, and _phase_factor_loop in
+    place of _phase_factors) and through the column forms, at any size."""
     monkeypatch.setattr("qlocc.states._STACK_MIN", sys.maxsize)
+    monkeypatch.setattr("qlocc.states._phase_factors", _phase_factor_loop)
     per_row = kernel(*args)
+    monkeypatch.undo()
     monkeypatch.setattr("qlocc.states._STACK_MIN", 0)
     return per_row, kernel(*args)
 
@@ -248,11 +265,13 @@ class TestKernelFormsBitIdentical:
         _assert_same_bits(per_row, columns)
         assert (columns == 1.0).all()
 
-    def test_edge_phase_factors(self, monkeypatch):
-        leads = _edge_leads()
-        per_row, columns = _both_forms(monkeypatch, _phase_factors, leads)
-        _assert_same_bits(per_row, columns)
-        assert (per_row[np.abs(leads) <= EPS_ZERO] == 1.0).all()
+    @pytest.mark.parametrize("leads", [
+        _edge_leads(), _mixed_rows(34, 1)[0], _mixed_rows(34, 50_000).reshape(-1),
+    ], ids=["edge", "one-row", "mixed"])
+    def test_phase_factors(self, leads):
+        factors = _phase_factors(leads)
+        _assert_same_bits(factors, _phase_factor_loop(leads))
+        assert (factors[np.abs(leads) <= EPS_ZERO] == 1.0).all()
 
     @pytest.mark.parametrize("kernel", [_dets, _concurrences, _unit_rows])
     def test_haar_bases(self, monkeypatch, kernel):
@@ -335,6 +354,16 @@ class TestIsProduct:
         assert ok
         # factors reconstruct the state
         assert states_equal_up_to_phase(s, product_state(left, right))
+
+    def test_tolerance_leaves_the_factors_phases(self):
+        # eps_zero is a concurrence; the phases are fixed at make_state's amplitude cutoff,
+        # so a leading amplitude of 1e-5 is made real whatever eps_zero is
+        s = product_state([1e-5, 1j], [1, 1])
+        ok, factors = is_product(s, eps_zero=1e-3)
+        assert ok
+        for got, ref in zip(factors, is_product(s)[1]):
+            np.testing.assert_array_equal(got, ref)
+        assert factors[0][0].imag == 0.0 and factors[0][0].real > 0.0
 
     def test_agrees_with_schmidt(self):
         for s in random_states(2000, seed=8):

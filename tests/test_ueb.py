@@ -6,7 +6,6 @@ from qlocc import (
     concurrence,
     make_state,
     orthocomplement,
-    states_equal_up_to_phase,
     ueb_check,
     ueb_spanning_check,
 )
@@ -19,6 +18,8 @@ from qlocc.ueb import (
     generate_eq2,
     random_max_entangled_triple,
 )
+
+from conftest import product_state, states_equal_up_to_phase, svd_orthocomplement
 
 
 class TestGeneratorParams:
@@ -189,10 +190,8 @@ class TestUebSpanningCheck:
 
     def test_rotated_complement_certificate(self):
         # complement a product state with nontrivial factors on both sides
-        from qlocc import product_state
-
         comp = product_state([0.6, 0.8j], [1, -1])
-        full = orthocomplement(Subspace_of(comp))
+        full = svd_orthocomplement(Subspace_of(comp))
         ens = OrthogonalSet(tuple(full.basis))
         verdict = ueb_spanning_check(ens)
         assert verdict.spans_ueb
