@@ -11,8 +11,11 @@ largest eigenvalue of a 2x2 Hermitian score form.  The best left points are
 refined locally, several candidates in one stacked pass per round, and
 polished in score order by a Levenberg-Marquardt root find of the constraint
 determinant, with its analytic gradient; the right factor is then read off
-the constraints' null space.  The first accepted witness ends the search, so
-the best candidate is refined alone and the rest only if it is rejected.
+the constraints' null space.  A hidden member's candidates sit at double
+roots of that determinant, where the root finder doubles its step (Schröder's
+step for multiplicity 2) once its plain steps show a double root's 4x cut in
+|det|.  The first accepted witness ends the search, so the best candidate is
+refined alone and the rest only if it is rejected.
 Product enumeration shares the cached grid, the separated picks and the root
 finder: a 2-D subspace's projective line is the left sphere at half the polar
 angle, so |det| of its coefficient matrix is scanned there and its smallest
@@ -45,6 +48,7 @@ SEED_PENALTY = 10.0
 _TOP_K = 5
 _XTOL = 1e-15  # _lm_root stops on a step at most _XTOL (_XTOL + |x|)
 _MAX_EVALS = 200  # evaluations per root find: 100 per unknown
+_DOUBLE_BAND = (0.2, 0.3)  # |f| ratios of a Gauss-Newton step at a double root (1/4)
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,21 @@ def _lm_root(f_and_grad, x0):
     point costs one evaluation.  Each step solves the 2x2 damped normal
     equations (J^T J + lam tr(J^T J) I) dx = -J^T [Re f, Im f] in closed
     form.  A step is taken only if it lowers |f|, and lam then falls 4x;
-    otherwise lam rises 4x.  The search stops only when f is exactly 0, when
-    a step, taken or not, is at most _XTOL (_XTOL + |x|), or after
-    _MAX_EVALS evaluations; never on a bound on |f|.  At a double root |f|
-    is quadratic in the distance and the steps shrink only linearly, so a
-    bound on |f| would stop short of the root.
+    otherwise lam rises 4x.  At a double root |f| is quadratic in the
+    distance, and a Gauss-Newton step only halves the distance, so it cuts
+    |f| about 4x.  Once two taken steps in a row each cut |f| by a factor in
+    _DOUBLE_BAND, the step is doubled: Schröder's modified Newton step for a
+    root of multiplicity 2 (Math. Ann. 2, 317 (1870)), which converges
+    quadratically there.  A doubled step is tested like any other, and a
+    rejected one ends the doubling.  The search stops only when f is exactly
+    0, when a step, taken or not, is at most _XTOL (_XTOL + |x|), or after
+    _MAX_EVALS evaluations; never on a bound on |f|, which at a double root
+    would stop short of it.
     """
     t, p = float(x0[0]), float(x0[1])
     f, ft, fp = f_and_grad(t, p)
     lam = 1e-3
+    streak = 0  # taken steps in a row that cut |f| by a factor in _DOUBLE_BAND; at 2, doubled
     for _ in range(_MAX_EVALS - 1):
         a, b, c = abs(ft) ** 2, (ft.conjugate() * fp).real, abs(fp) ** 2
         damp = lam * (a + c)
@@ -135,14 +145,19 @@ def _lm_root(f_and_grad, x0):
         if f == 0 or det == 0:  # a root, or no direction that lowers |f|
             break
         gt, gp = (ft.conjugate() * f).real, (fp.conjugate() * f).real
-        dt = (b * gp - (c + damp) * gt) / det
-        dp = (b * gt - (a + damp) * gp) / det
+        scale = 2.0 if streak >= 2 else 1.0
+        dt = scale * (b * gp - (c + damp) * gt) / det
+        dp = scale * (b * gt - (a + damp) * gp) / det
         trial = f_and_grad(t + dt, p + dp)
         if abs(trial[0]) < abs(f):
+            if streak < 2:
+                lo, hi = _DOUBLE_BAND
+                streak = streak + 1 if lo < abs(trial[0]) / abs(f) < hi else 0
             t, p = t + dt, p + dp
             f, ft, fp = trial
             lam /= 4.0
         else:
+            streak = 0
             lam *= 4.0
         if math.hypot(dt, dp) <= _XTOL * (_XTOL + math.hypot(t, p)):
             break

@@ -16,7 +16,9 @@ import numpy as np
 from .discrimination import HierarchyLabel, NonlocalityClass, _decide, classify
 from .ensembles import _DEFAULT_TOLERANCES, OrthogonalSet, _check_orthogonal, average_entanglement
 from .errors import BadBounds, BadParam, QloccError
-from .io import _SWEEP_HEADER, _sweep_rows, amplitude_pairs, emit_document, parse_document
+from .io import (
+    _SWEEP_HEADER, _grid_field, _sweep_rows, amplitude_pairs, emit_document, parse_document,
+)
 from .states import _entropies, entanglement_profile, make_state
 from .ueb import (
     GeneratorParams,
@@ -164,20 +166,22 @@ def _sweep_blocks(lam1s, lam3s):
     names = [NonlocalityClass(label, 3).describe() for label in HierarchyLabel]
     # the unidentifiable field of each hidden mask, indexed by h0 + 2 h1 + 4 h2
     fields = [";".join(str(i) for i in range(3) if k >> i & 1) for k in range(8)]
-    m = 1 if lam3s is None else len(lam3s)
+    # each grid value's CSV field, formatted once per sweep; eq2's one lam3 field is empty
+    x1s = [_grid_field(x) for x in lam1s.tolist()]
+    x3s = [""] if lam3s is None else [_grid_field(x) for x in lam3s.tolist()]
+    m = len(x3s)
     points = len(lam1s) * m
     for start in range(0, points, _SWEEP_BLOCK):
         # point k is (lam1s[k // m], lam3s[k % m]): the product grid is never expanded
         i1, i3 = divmod(np.arange(start, min(start + _SWEEP_BLOCK, points)), m)
-        b1, b3 = lam1s[i1], None if lam3s is None else lam3s[i3]
-        rows = _family_rows(b1, b3)
+        rows = _family_rows(lam1s[i1], None if lam3s is None else lam3s[i3])
         _check_orthogonal(rows, _DEFAULT_TOLERANCES.eps_orth)
         v = _decide(rows, _DEFAULT_TOLERANCES)
         avg = np.mean(_entropies(v.conc), axis=-1).tolist()
-        lam3 = [None] * len(b1) if b3 is None else b3.tolist()
+        x1, x3 = [x1s[k] for k in i1.tolist()], [x3s[k] for k in i3.tolist()]
         classes = [names[label] for label in v.labels.tolist()]
         bad = [fields[k] for k in (v.hidden @ np.array([1, 2, 4])).tolist()]
-        yield _sweep_rows(zip(b1.tolist(), lam3, classes, bad, avg, v.ueb.tolist())), set(classes)
+        yield _sweep_rows(zip(x1, x3, classes, bad, avg, v.ueb.tolist())), set(classes)
 
 
 @main.command("sweep")

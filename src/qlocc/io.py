@@ -105,12 +105,18 @@ def emit_document(ensemble: OrthogonalSet, labels=None) -> str:
 _SWEEP_HEADER = "lambda1,lambda3,class,unidentifiable,avg_entanglement,is_ueb\n"
 
 
+def _grid_field(x) -> str:
+    """A lambda's CSV field: 12 significant digits, empty for None (eq2 has no lambda3)."""
+    return "" if x is None else format(x, ".12g")
+
+
 def _sweep_rows(points) -> str:
-    """CSV rows of sweep points (lambda1, lambda3 or None, class, unidentifiable field, average
-    entanglement, is_ueb), the floats to 12 significant digits: the one sweep row format."""
+    """CSV rows of sweep points (lambda1 field, lambda3 field, class, unidentifiable field,
+    average entanglement, is_ueb): the one sweep row format.  The lambda fields come
+    formatted by _grid_field, so a sweep formats each grid value once, not once per point;
+    the average is written to 12 significant digits."""
     return "".join([
-        f"{x1:.12g},{'' if x3 is None else format(x3, '.12g')},{cls},{bad},{avg:.12g},"
-        f"{'true' if ueb else 'false'}\n"
+        f"{x1},{x3},{cls},{bad},{avg:.12g},{'true' if ueb else 'false'}\n"
         for x1, x3, cls, bad, avg, ueb in points
     ])
 
@@ -118,7 +124,7 @@ def _sweep_rows(points) -> str:
 def sweep_csv(records) -> str:
     """Render sweep records with deterministic, byte-stable formatting."""
     return _SWEEP_HEADER + _sweep_rows(
-        (rec["lambda1"], rec["lambda3"], rec["class"],
+        (_grid_field(rec["lambda1"]), _grid_field(rec["lambda3"]), rec["class"],
          ";".join(str(i) for i in rec["unidentifiable"]), rec["avg_entanglement"], rec["is_ueb"])
         for rec in records
     )

@@ -168,6 +168,100 @@ def test_polish_converges_on_the_family_grids():
             assert verdict.overlap < 1e-9, (name, i, verdict.overlap)
 
 
+def _family_members():
+    """(name, ensemble, i) for every member of the eq1 and eq2 family grids."""
+    eq1, eq2 = _sets(_family_rows(*_EQ1_LAMS)), _sets(_family_rows(_FAMILY_GRID))
+    sets = [(f"eq1 {point}", ens) for point, ens in zip(_EQ1_POINTS, eq1)]
+    sets += [(f"eq2 {l1:.2f}", ens) for l1, ens in zip(_FAMILY_GRID, eq2)]
+    return [(name, ens, i) for name, ens in sets for i in range(3)]
+
+
+def test_polish_traffic_on_the_family_grids(monkeypatch):
+    # every hidden family member's polish lands on a double root of the constraint
+    # determinant, where plain Gauss-Newton steps take about 49 evaluations; an
+    # identifiable member's polish never enters the doubled mode, so it evaluates
+    # the determinant exactly as often as the plain loop and returns the same bits
+    calls = {"det": 0, "polish": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bruteforce, "_pencil_det", counting("det", _pencil_det))
+    monkeypatch.setattr(bruteforce, "_polish", counting("polish", _polish))
+
+    def traffic(ens, i, root_finder):
+        monkeypatch.setattr(bruteforce, "_lm_root", root_finder)
+        calls.update(det=0, polish=0)
+        verdict = _search(ens, i, GRID)
+        return verdict, calls["det"], calls["polish"]
+
+    hidden_evals = hidden_polishes = identifiable = 0
+    for name, ens, i in _family_members():
+        verdict, evals, polishes = traffic(ens, i, _lm_root)
+        if verdict.identifiable:
+            identifiable += 1
+            plain, plain_evals, plain_polishes = traffic(ens, i, _plain_lm_root)
+            assert (evals, polishes) == (plain_evals, plain_polishes), (name, i)
+            assert _verdict_bits(verdict) == _verdict_bits(plain), (name, i)
+        else:
+            hidden_evals += evals
+            hidden_polishes += polishes
+    assert hidden_polishes > 0 and identifiable > 0
+    assert hidden_evals / hidden_polishes <= 12, hidden_evals / hidden_polishes
+
+
+# The plain Levenberg-Marquardt loop that _lm_root's doubled step extends, kept as its
+# reference: off the doubled mode, _lm_root must reproduce it bit for bit.
+def _plain_lm_root(f_and_grad, x0):
+    t, p = float(x0[0]), float(x0[1])
+    f, ft, fp = f_and_grad(t, p)
+    lam = 1e-3
+    for _ in range(bruteforce._MAX_EVALS - 1):
+        a, b, c = abs(ft) ** 2, (ft.conjugate() * fp).real, abs(fp) ** 2
+        damp = lam * (a + c)
+        det = (a + damp) * (c + damp) - b * b
+        if f == 0 or det == 0:
+            break
+        gt, gp = (ft.conjugate() * f).real, (fp.conjugate() * f).real
+        dt = (b * gp - (c + damp) * gt) / det
+        dp = (b * gt - (a + damp) * gp) / det
+        trial = f_and_grad(t + dt, p + dp)
+        if abs(trial[0]) < abs(f):
+            t, p = t + dt, p + dp
+            f, ft, fp = trial
+            lam /= 4.0
+        else:
+            lam *= 4.0
+        if math.hypot(dt, dp) <= bruteforce._XTOL * (bruteforce._XTOL + math.hypot(t, p)):
+            break
+    return t, p
+
+
+def _counted(f_and_grad):
+    """f_and_grad and a one-item list that counts its evaluations."""
+    count = [0]
+
+    def counting(t, p):
+        count[0] += 1
+        return f_and_grad(t, p)
+
+    return counting, count
+
+
+def _power_root(k, t0=1.3, p0=0.4, split=0.0):
+    """z**k - split**2 with z = (t - t0) + i (p - p0); split only for k = 2."""
+
+    def f_and_grad(t, p):
+        z = (t - t0) + 1j * (p - p0)
+        return z**k - split**2, k * z ** (k - 1), 1j * k * z ** (k - 1)
+
+    return f_and_grad
+
+
 class TestLmRoot:
     def test_simple_root(self):
         t0, p0 = 0.7, 2.1
@@ -177,20 +271,51 @@ class TestLmRoot:
             e = cmath.exp(1j * p)
             return e * math.sin(t) - target, e * math.cos(t), 1j * e * math.sin(t)
 
-        t, p = _lm_root(f_and_grad, (0.9, 1.8))
+        f, count = _counted(f_and_grad)
+        t, p = _lm_root(f, (0.9, 1.8))
         assert math.hypot(t - t0, p - p0) < 1e-14
+        # quadratic convergence never cuts |f| about 4x twice in a row, so the step is
+        # never doubled: the same bits in as many evaluations as the plain loop
+        plain, plain_count = _counted(f_and_grad)
+        assert (t, p) == _plain_lm_root(plain, (0.9, 1.8))
+        assert count[0] == plain_count[0] > 2
 
     def test_double_root(self):
-        # |f| is quadratic in the distance, so the steps shrink only linearly:
-        # a solver that stops on a loose step or |f| bound ends far above 1e-24
-        t0, p0 = 1.3, 0.4
-
-        def f_and_grad(t, p):
-            z = (t - t0) + 1j * (p - p0)
-            return z * z, 2 * z, 2j * z
-
-        t, p = _lm_root(f_and_grad, (t0 + 6e-3, p0 - 8e-3))
+        # |f| is quadratic in the distance, so a solver that stops on a loose step
+        # or |f| bound ends far above 1e-24; plain Gauss-Newton steps only halve the
+        # distance (44 evaluations here), the doubled step lands in a few
+        f_and_grad = _power_root(2)
+        f, count = _counted(f_and_grad)
+        t, p = _lm_root(f, (1.3 + 6e-3, 0.4 - 8e-3))
         assert abs(f_and_grad(t, p)[0]) <= 1e-24
+        assert count[0] <= 10
+
+    @pytest.mark.parametrize("x0", [(1.4, 0.3), (1.2, 2.0), (1.7, 5.0), (1.0, 0.0)])
+    def test_double_root_at_the_pole(self, x0):
+        # det(cos t I + e^{ip} sin t [[0, 1], [0, 0]]) = cos^2 t: a double root at
+        # t = pi/2, where x = e^{ip} tan t is infinite, and no dependence on p
+        a, b = [1, 0, 0, 1], [0, 1, 0, 0]
+        f, count = _counted(functools.partial(_pencil_det, a, b))
+        t, _ = _lm_root(f, x0)
+        assert abs(t - math.pi / 2) <= 1e-15
+        assert count[0] <= 10
+
+    def test_triple_root(self):
+        # each plain step keeps 2/3 of the distance and |f| falls by (2/3)^3 ~ 0.3,
+        # in the doubled band: the doubled step keeps 1/3
+        f_and_grad = _power_root(3)
+        t, p = _lm_root(f_and_grad, (1.3 + 6e-3, 0.4 - 8e-3))
+        assert abs(f_and_grad(t, p)[0]) <= 1e-40
+
+    @pytest.mark.parametrize("split", [1e-8, 1e-5, 1e-3])
+    def test_split_pair_lands_on_the_plain_root(self, split):
+        # z^2 - s^2 looks like a double root from far away, so the doubled step starts;
+        # near the pair it overshoots, is rejected, and plain steps finish on a simple root
+        f_and_grad = _power_root(2, split=split)
+        t, p = _lm_root(f_and_grad, (1.3 + 6e-3, 0.4 - 8e-3))
+        t_ref, p_ref = _plain_lm_root(f_and_grad, (1.3 + 6e-3, 0.4 - 8e-3))
+        assert math.hypot(t - t_ref, p - p_ref) <= 1e-3 * split
+        assert math.hypot(t - 1.3 - split, p - 0.4) <= 1e-3 * split
 
     def test_pencil_gradient_matches_central_differences(self):
         rng = np.random.default_rng(4)

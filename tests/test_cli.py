@@ -223,6 +223,27 @@ def test_sweep_rows_match_per_point_classify(tmp_path, family, grid):
     assert (got[k : k + 1], len(got)) == (want[k : k + 1], len(want)), f"line {k} differs"
 
 
+@pytest.mark.parametrize(
+    "lam1s, lam3s",
+    [
+        (np.linspace(0.001, 0.999, 97), np.linspace(0.013, 0.987, 53)),  # two blocks
+        (np.linspace(0.05, 0.95, 19), None),
+        (np.linspace(0.001, 0.999, 4100), None),
+    ],
+    ids=["eq1", "eq2", "eq2-two-blocks"],
+)
+def test_sweep_grid_fields_match_per_point_formatting(lam1s, lam3s):
+    """Each grid value is formatted once per sweep; every row's lambda fields are still
+    the per-point 12-significant-digit forms of its own grid point."""
+    rows = "".join(text for text, _ in _sweep_blocks(lam1s, lam3s)).splitlines()
+    m = 1 if lam3s is None else len(lam3s)
+    assert len(rows) == len(lam1s) * m
+    for k, row in enumerate(rows):
+        l1 = float(lam1s[k // m])
+        l3 = "" if lam3s is None else f"{float(lam3s[k % m]):.12g}"
+        assert row.split(",")[:2] == [f"{l1:.12g}", l3], k
+
+
 def test_sweep_memory_does_not_grow_with_the_grid():
     """A sweep decides its grid in blocks: its first record costs as much memory at 2000x2000
     as at 250x250 (expanding the whole grid first cost 60 MB more)."""
