@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -319,24 +319,21 @@ _BELL_TRIPLE_AMPS = (
     (1, 0, 0, -1),
     (0, 1, 1, 0),
 )
-_calibrated: set[GridSpec] = set()
 
 
+@cache  # a grid that fails raises, and is tried again on its next use
 def _calibrate(grid: GridSpec):
     """Fail loudly if a certified-positive case is not found at this grid.
 
     A grid oracle can only under-detect, so the schedule is validated on a
     triple of Bell states, where every member is known identifiable.
     """
-    if grid in _calibrated:
-        return
     triple = OrthogonalSet(tuple(make_state(a) for a in _BELL_TRIPLE_AMPS))
     for i in range(3):
         if not _search(triple, i, grid).identifiable:
             raise ResolutionTooCoarse(
                 f"grid {grid} missed a certified witness (state {i} of a Bell triple)"
             )
-    _calibrated.add(grid)
 
 
 def oracle_identifiable(

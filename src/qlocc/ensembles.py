@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -133,4 +133,6 @@ def _haar_rows(seeds, size: int) -> np.ndarray:
 
 def random_orthogonal_set(seed: int, size: int = 3) -> OrthogonalSet:
     """Seeded Haar-random orthonormal set: row 0 of _haar_rows([seed], size)."""
+    if isinstance(size, bool) or not isinstance(size, Integral) or not 2 <= size <= 4:
+        raise InvalidSet(f"cardinality must be 2, 3, or 4, got {size!r}")  # as OrthogonalSet
     return _row_set(_haar_rows([seed], size)[0])

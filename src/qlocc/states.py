@@ -22,8 +22,8 @@ EPS_ORTH = 1e-9
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first amplitude above EPS_ZERO is real >= 0."""
     for a in amps.tolist():
-        if abs(a) > EPS_ZERO:
-            return amps * (abs(a) / a)
+        if (r := abs(a)) > EPS_ZERO:
+            return amps * complex(a.real / r, -a.imag / r)  # conj(a) / |a|
     return amps
 
 
@@ -72,7 +72,7 @@ def make_state(amplitudes) -> PureState:
 
 def _unit_rows(amps: np.ndarray) -> np.ndarray:
     """make_state over a stack of amplitude rows (..., 4): the same checks, and the same bits
-    (matmul's dot is vdot's, hypot is complex abs, and _phase_factors divides as Python does)."""
+    (matmul's dot is vdot's, hypot is complex abs, and the phase rule is two real divisions)."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sqrt(np.matmul(amps.conj()[..., None, :], amps[..., :, None]).real[..., 0, 0])
     if not np.isfinite(norm).all():
@@ -86,21 +86,12 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
 
 
 def _phase_factors(z: np.ndarray) -> np.ndarray:
-    """_canonical_phase's factor |z| / z of each lead z (N,), or 1 where |z| <= EPS_ZERO."""
-    # CPython's _Py_c_quot of (r, 0.0) by (br, bi), both branches, with its exact operations
-    r, br, bi = np.hypot(z.real, z.imag), z.real, z.imag
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = bi / br  # |br| >= |bi|
-        denom = br + bi * ratio
-        re1, im1 = (r + 0.0 * ratio) / denom, (0.0 - r * ratio) / denom
-        ratio = br / bi  # |bi| > |br|
-        denom = br * ratio + bi
-        re2, im2 = (r * ratio + 0.0) / denom, (0.0 * ratio - r) / denom
-    by_real = np.abs(br) >= np.abs(bi)
+    """_canonical_phase's factor conj(z) / |z| of each lead z (N,), or 1 where |z| <= EPS_ZERO."""
+    r = np.hypot(z.real, z.imag)
     keep = r > EPS_ZERO
-    factor = np.empty(z.shape, dtype=np.complex128)
-    factor.real = np.where(keep, np.where(by_real, re1, re2), 1.0)
-    factor.imag = np.where(keep, np.where(by_real, im1, im2), 0.0)
+    factor = np.ones(z.shape, dtype=np.complex128)  # divided only where kept: no 0 / 0
+    np.divide(z.real, r, out=factor.real, where=keep)
+    np.divide(z.imag, -r, out=factor.imag, where=keep)  # -(z.imag / r), bit for bit
     return factor
 
 

@@ -6,13 +6,14 @@ is not JSON at all.  Either leaves the run's result unusable.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _reject_constant(name):
@@ -20,10 +21,13 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("workload", ["random-ensembles", "family-sweep", "oracle-crosscheck"])
-def test_traced_run_prints_strict_json_with_no_absent_layer(workload):
+def test_traced_run_prints_strict_json_with_no_absent_layer(workload, tmp_path):
     pytest.importorskip("scipy", reason="benchmarks/run.py imports scipy to record its version")
+    # a copy of benchmarks/ beside a link to src/, so that its .bench_out/ lands in tmp_path
+    run = shutil.copytree(ROOT / "benchmarks", tmp_path / "benchmarks") / "run.py"
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0.3",
+        [sys.executable, str(run), "--workload", workload, "--seed", "1", "--seconds", "0.3",
          "--trace", "1"],
         capture_output=True, text=True, timeout=300,
     )

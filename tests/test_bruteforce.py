@@ -39,7 +39,7 @@ from qlocc.bruteforce import (
     _separated_picks,
 )
 from qlocc.ensembles import _haar_rows
-from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError
+from qlocc.errors import BadCardinality, BadGrid, IndexOutOfRange, QloccError, ResolutionTooCoarse
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2
 from qlocc.verify import DEFAULT_SEED, _EQ1_LAMS, _EQ1_POINTS, _FAMILY_GRID, _family_rows, _sets
 
@@ -73,6 +73,24 @@ class TestGridSpec:
         grid = GridSpec(resolution=np.int64(32))
         assert grid == GRID
         assert oracle_identifiable(bell_triple, 0, grid).identifiable
+
+    def test_failed_calibration_is_retried(self, monkeypatch, bell_triple):
+        grid = GridSpec(resolution=12)  # no other test uses it, so it is not calibrated yet
+        rejected = OracleVerdict(False, None, np.inf, 0.0)
+        monkeypatch.setattr(bruteforce, "_search", lambda ensemble, i, grid: rejected)
+        with pytest.raises(ResolutionTooCoarse):
+            oracle_identifiable(bell_triple, 0, grid)
+        monkeypatch.undo()
+        calls = []
+
+        def counting(ensemble, i, grid):
+            calls.append(i)
+            return _search(ensemble, i, grid)
+
+        monkeypatch.setattr(bruteforce, "_search", counting)
+        assert oracle_identifiable(bell_triple, 0, grid).identifiable
+        assert oracle_identifiable(bell_triple, 1, grid).identifiable
+        assert calls == [0, 1, 2, 0, 1]  # the three calibration searches, on first use only
 
 
 class TestOracleIdentifiable:

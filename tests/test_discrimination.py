@@ -41,6 +41,7 @@ from qlocc.ueb import (
 )
 
 from conftest import (
+    SQ2,
     haar_unitary,
     product_state,
     scalar_concurrence,
@@ -68,6 +69,18 @@ class TestConclusivelyIdentifiable:
             ok, witness = conclusively_identifiable(bell_triple, i)
             assert ok
             assert_chefles(bell_triple, i, witness)
+
+    def test_max_entangled_witness_law(self):
+        """G is diagonal for these triples, so the two roots tie in modulus and rounding picks
+        one; either is a witness with overlap 1/sqrt(2) that the other members do not see."""
+        for seed in range(1, 201):
+            triple = random_max_entangled_triple(seed)
+            for i in range(3):
+                ok, witness = conclusively_identifiable(triple, i)
+                assert ok and concurrence(witness) < 1e-12, (seed, i)
+                assert abs(witness.overlap(triple[i])) == pytest.approx(SQ2, abs=1e-12)
+                leak = sum(abs(witness.overlap(triple[j])) ** 2 for j in range(3) if j != i)
+                assert leak < 1e-12, (seed, i)
 
     def test_bell_triple_first_witness(self, bell_triple):
         ok, witness = conclusively_identifiable(bell_triple, 0)

@@ -126,3 +126,9 @@ class TestSeededDraw:
             expected = np.array([make_state(q[:, k]).amps for k in range(size)])
             got = random_orthogonal_set(seed, size)._rows
             assert got.tobytes() == expected.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("size", [5, -1, 2.5, True, 1], ids=repr)
+    def test_size_outside_two_to_four_is_invalid(self, size):
+        # unchecked, 5 gives 4 members, -1 three (a [:-1] slice) and 2.5 a TypeError
+        with pytest.raises(InvalidSet, match=rf"cardinality must be 2, 3, or 4, got {size!r}$"):
+            random_orthogonal_set(1, size)

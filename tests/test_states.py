@@ -193,8 +193,8 @@ class TestStackedKernelsBitIdentical:
 
 
 def _edge_parts():
-    """Signed zeros, equal moduli and values on either side of EPS_ZERO: the parts where the
-    quotient's branch, a zero's sign or the cutoff could go either way."""
+    """Signed zeros, equal moduli and values on either side of EPS_ZERO: the parts where a
+    zero's sign or the cutoff could go either way."""
     below, above = np.nextafter(EPS_ZERO, 0.0), np.nextafter(EPS_ZERO, 1.0)
     return np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, below, EPS_ZERO, above, -above, 3e-5])
 
@@ -218,8 +218,9 @@ def _edge_rows(seed, n=4000):
 
 
 def _phase_factor_loop(z):
-    """The per-lead loop that _phase_factors' column form replaced, kept as its reference."""
-    factor = [abs(w) / w if abs(w) > EPS_ZERO else 1.0 for w in z.tolist()]
+    """_canonical_phase's rule conj(w) / |w| per lead, kept as _phase_factors' reference."""
+    factor = [complex(w.real / abs(w), -w.imag / abs(w)) if abs(w) > EPS_ZERO else 1.0
+              for w in z.tolist()]
     return np.array(factor, dtype=np.complex128)
 
 
@@ -239,7 +240,7 @@ def _assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.filterwarnings("error")  # the column form's unused quotient branch stays silent
+@pytest.mark.filterwarnings("error")  # the column form divides no lead below the cutoff
 class TestKernelFormsBitIdentical:
     """The column forms of the stacked kernels give the per-row forms' bits, so the
     stack size that picks a form can never move a verdict or a sweep CSV digit."""
