@@ -17,7 +17,6 @@ from .products import (
     Subspace,
     orthocomplement,
     product_states_in_2d,
-    quadratic_roots,
 )
 from .states import (
     EntanglementProfile,

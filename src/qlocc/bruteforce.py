@@ -342,8 +342,8 @@ def oracle_identifiable(
     """Grid-search version of the product-witness test for cardinality-3 sets."""
     if len(ensemble) != 3:
         raise BadCardinality(f"oracle needs cardinality 3, got {len(ensemble)}")
-    if not 0 <= i < 3:
-        raise IndexOutOfRange(f"index {i} outside ensemble of size 3")
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < 3:
+        raise IndexOutOfRange(f"index {i!r} outside ensemble of size 3")
     grid = grid or GridSpec()
     _calibrate(grid)
     return _search(ensemble, i, grid)

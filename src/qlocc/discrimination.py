@@ -46,13 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .ensembles import OrthogonalSet, Tolerances
 from .errors import IndexOutOfRange
-from .products import _complements
+from .products import _complements, _pencil_root
 from .states import PureState, _det_concurrences, _dets, make_state
 
 # Witnesses with target overlap inside [tau, WARN_BAND_FACTOR * tau] are
@@ -147,10 +148,8 @@ def _decide(amps: np.ndarray, tol: Tolerances) -> _Verdicts:
     det, det_d, comp_conc = dets[:, :3], dets[:, 3], concs[:, 3]
     span = comp_conc < tol.eps_zero
     c1 = np.matmul(amps, (d[:, ::-1] * _FLIP)[..., None])[..., 0]  # -G_id
-    sq = np.sqrt(c1 * c1 - 4.0 * det * det_d[:, None])
-    # q / det is the root of larger modulus (the roots multiply to det_d / det), so the
-    # better one; choosing q's sign as quadratic_roots does avoids cancellation
-    q = -(c1 + np.where(abs(c1 + sq) > abs(c1 - sq), sq, -sq)) / 2.0
+    # q / det is the root of larger modulus (_pencil_root), so the better one
+    q, _ = _pencil_root(det, c1, det_d[:, None])
     a = np.where(ent, np.where(span[:, None], -c1, q), 1.0)
     b = np.where(ent, det, 0.0)
     mod_a, mod_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)
@@ -204,8 +203,8 @@ def conclusively_identifiable(ensemble: OrthogonalSet, i: int):
     LOCC); cardinality 4 reduces to member i itself being product.
     """
     n = len(ensemble)
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"index {i} outside ensemble of size {n}")
+    if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < n:
+        raise IndexOutOfRange(f"index {i!r} outside ensemble of size {n}")
     v = _decide(ensemble._rows[None], ensemble.tolerances)
     ok = not v.hidden[0, i]
     return ok, _witness(ensemble, v, i) if ok else None

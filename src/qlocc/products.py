@@ -4,7 +4,9 @@ A general element a*u + b*v of a 2-D subspace is product exactly when the
 determinant of its coefficient matrix vanishes.  That determinant is a
 homogeneous quadratic in (a, b), so the product states in the subspace are
 either the (one or two) projective roots of the quadratic, or the whole
-subspace when the quadratic vanishes identically.
+subspace when the quadratic vanishes identically.  _pencil_root is the one
+root formula: product_states_in_2d applies it to one plane in Python complex
+numbers, and discrimination._decide to whole stacks of planes span{psi_i, d}.
 """
 
 from __future__ import annotations
@@ -73,44 +75,18 @@ class ProductStateEnumeration:
     multiplicities: tuple[int, ...] = ()
 
 
-def quadratic_roots(c2: complex, c1: complex, c0: complex):
-    """Projective roots of c2*a^2 + c1*a*b + c0*b^2 on the complex line.
+def _pencil_root(c2, c1, c0):
+    """q and the discriminant of c2 a^2 + c1 ab + c0 b^2, on scalars or stacks alike.
 
-    Returns a list of ((a, b), multiplicity) with the representative scaled
-    so max(|a|, |b|) = 1.  The list is empty exactly when the quadratic is
-    identically zero: every coefficient is negligible in concurrence units
-    (2|c| < EPS_ZERO), the default threshold is_product applies to 2|det M|,
-    so both basis states of an identically-zero determinant plane factor.
+    Its projective roots are (q, c2), the one of larger |a/b| (in a/b they multiply to
+    c0 / c2), and (c0, q).  q's sign avoids cancellation in -c1 -+ sqrt(disc), so no case
+    needs a branch: c2 = 0 gives the root b = 0, and q = 0 only when disc = 0, where one
+    representative is (0, 0) and the other the double root.
     """
-    scale = max(abs(c2), abs(c1), abs(c0))
-    if 2.0 * scale < EPS_ZERO:
-        return []
-
-    def norm_root(a, b):
-        m = max(abs(a), abs(b))
-        return (a / m, b / m)
-
-    if abs(c2) < EPS_ZERO * scale:
-        # c1*a*b + c0*b^2 = b*(c1*a + c0*b)
-        if abs(c1) < EPS_ZERO * scale:
-            # c0*b^2: double root at b = 0
-            return [((1.0 + 0j, 0j), 2)]
-        return [((1.0 + 0j, 0j), 1), (norm_root(-c0, c1), 1)]
-
-    disc = complex(c1 * c1 - 4.0 * c2 * c0)
-    if abs(disc) < EPS_DISC * scale * scale:
-        return [(norm_root(-c1, 2.0 * c2), 2)]
-
+    disc = c1 * c1 - 4.0 * c2 * c0
     sq = np.sqrt(disc)
-    # pick the sign that avoids cancellation in -c1 -+ sq
-    if abs(-c1 - sq) > abs(-c1 + sq):
-        q = (-c1 - sq) / 2.0
-    else:
-        q = (-c1 + sq) / 2.0
-    # roots of c2 x^2 + c1 x + c0 in x = a/b: q/c2 and c0/q
-    r1 = norm_root(q, c2)
-    r2 = norm_root(c0, q) if abs(q) > 0 else (0j, 1.0 + 0j)
-    return [(r1, 1), (r2, 1)]
+    q = -(c1 + np.where(abs(c1 + sq) > abs(c1 - sq), sq, -sq)) / 2.0
+    return q, disc
 
 
 # cof_r = sum_t sign * member0[row] * minor; minors of members 1, 2 on pairs 01 02 03 12 13 23
@@ -141,28 +117,32 @@ def orthocomplement(source: OrthogonalSet | Subspace) -> Subspace:
 
 
 def product_states_in_2d(sub: Subspace) -> ProductStateEnumeration:
-    """Enumerate the product states in a 2-D subspace.
+    """Enumerate the product states in a 2-D subspace span{u, v}.
 
-    A nonzero homogeneous quadratic on the complex projective line always has
-    a root, so a Finite result is never empty.
+    a u + b v is product at the roots of det(a M_u + b M_v) = c2 a^2 + c1 ab + c0 b^2,
+    (q, c2) and (c0, q) by _pencil_root, each scaled to max(|a|, |b|) = 1.  Roots with
+    |disc| < EPS_DISC scale^2 merge into one double root, represented by the larger of the
+    two, a root itself.  The plane is all product when 2|c| < EPS_ZERO for every
+    coefficient (is_product's default threshold on 2|det M|), so both basis states factor.
+    A Finite result is never empty: a nonzero quadratic has a projective root.
     """
     if sub.dim != 2:
         raise BadDimension(f"expected a 2-D subspace, got dim {sub.dim}")
     u, v = sub.basis
-    # det(a M_u + b M_v) = a^2 det_u + a b cross + b^2 det_v, all in closed form
+    # Python complex numbers: numpy on a plane of one costs more here
     au, bu, cu, du = u.amps.tolist()
     av, bv, cv, dv = v.amps.tolist()
-    det_u = au * du - bu * cu
-    det_v = av * dv - bv * cv
-    cross = au * dv + du * av - bu * cv - cu * bv
-    roots = quadratic_roots(det_u, cross, det_v)
-
-    if not roots:  # the quadratic vanishes identically
+    c2 = au * du - bu * cu
+    c0 = av * dv - bv * cv
+    c1 = au * dv + du * av - bu * cv - cu * bv
+    scale = max(abs(c2), abs(c1), abs(c0))
+    if 2.0 * scale < EPS_ZERO:
         return ProductStateEnumeration(
             EnumerationKind.ALL_PRODUCT, (u, v, make_state(u.amps + v.amps))
         )
-    states, mults = [], []
-    for (a, b), mult in roots:
-        states.append(make_state(a * u.amps + b * v.amps))
-        mults.append(mult)
-    return ProductStateEnumeration(EnumerationKind.FINITE, tuple(states), tuple(mults))
+    q, disc = _pencil_root(c2, c1, c0)
+    roots, mults = [(a, b, max(abs(a), abs(b))) for a, b in ((q, c2), (c0, q))], (1, 1)
+    if abs(disc) < EPS_DISC * scale * scale:  # one of the two is (0, 0) when q = 0
+        roots, mults = [max(roots, key=lambda r: r[2])], (2,)
+    states = tuple(make_state(a / m * u.amps + b / m * v.amps) for a, b, m in roots)
+    return ProductStateEnumeration(EnumerationKind.FINITE, states, mults)

@@ -131,13 +131,21 @@ class TestOracleIdentifiable:
         with pytest.raises(BadCardinality):
             oracle_identifiable(bell_basis, 0, GRID)
 
-    @pytest.mark.parametrize("i", [-1, 3])
+    @pytest.mark.parametrize("i", [-1, 3, 1.5, 2.0, True])
     def test_index_out_of_range(self, bell_triple, i):
-        # the analytic engine raises the same error for the same index
+        # the analytic engine raises the same error for the same index; an index must be a
+        # numbers.Integral other than bool, as GridSpec's resolution
         with pytest.raises(IndexOutOfRange):
             conclusively_identifiable(bell_triple, i)
         with pytest.raises(IndexOutOfRange):
             oracle_identifiable(bell_triple, i, GRID)
+
+    def test_numpy_integer_index(self, bell_triple):
+        (ok, w), (ok1, w1) = (conclusively_identifiable(bell_triple, i) for i in (np.int64(1), 1))
+        assert ok and ok1 and w.amps.tobytes() == w1.amps.tobytes()
+        a, b = (oracle_identifiable(bell_triple, i, GRID) for i in (np.int64(1), 1))
+        assert a.identifiable and b.identifiable
+        assert a.witness.amps.tobytes() == b.witness.amps.tobytes()
 
     def test_agreement_sample(self):
         for k in range(25):

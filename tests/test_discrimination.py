@@ -387,6 +387,24 @@ class TestOneComplementPerTriple:
         _, report = classify(ens)
         assert abs(report.per_state[0].witness_overlap - 1.0) < 1e-12
 
+    def test_witness_is_the_first_root_of_its_plane(self):
+        # classify and product_states_in_2d share one root formula (_pencil_root): an
+        # entangled member's witness is the first root (q, det psi_i) of span{psi_i, d}.
+        # MET triples are left out: their two roots tie in modulus and rounding picks one.
+        worst, checked = 0.0, 0
+        for k in range(300):
+            ens = random_orthogonal_set(99_500 + k, size=3)
+            d = orthocomplement(ens).basis[0]
+            _, report = classify(ens)
+            for i, verdict in enumerate(report.per_state):
+                if verdict.witness is None or concurrence(ens[i]) < EPS_ZERO:
+                    continue
+                first = product_states_in_2d(Subspace((ens[i], d))).states[0]
+                ov = np.vdot(first.amps, verdict.witness.amps)
+                worst = max(worst, np.linalg.norm(verdict.witness.amps - ov / abs(ov) * first.amps))
+                checked += 1
+        assert checked >= 300 and worst < 1e-12
+
     def test_witness_plane_is_complement_of_others(self, bell_triple):
         # reference: the complement of the other two members, one SVD each
         cases = _haar_family_bell_triples(bell_triple, haar=200)

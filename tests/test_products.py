@@ -14,10 +14,11 @@ from qlocc import (
     oracle_product_scan,
     orthocomplement,
     product_states_in_2d,
-    quadratic_roots,
     random_orthogonal_set,
 )
 from qlocc.errors import BadDimension, FullSpace
+from qlocc.products import EPS_DISC, _pencil_root
+from qlocc.states import EPS_ZERO
 from qlocc.ueb import GeneratorParams, generate_eq1, generate_eq2, random_max_entangled_triple
 from qlocc.verify import _FAMILY_GRID, _family_rows
 
@@ -39,51 +40,55 @@ def assert_common_factor(enum, side, factor):
         assert abs(abs(np.vdot(factors[k], factor)) - 1.0) < 1e-12
 
 
-def root_ratios(roots):
-    """Projective roots as ratios a/b (inf encoded as None)."""
-    out = []
-    for (a, b), _ in roots:
-        out.append(None if abs(b) < 1e-12 else a / b)
-    return out
+class TestPencilRoot:
+    """_pencil_root's law on coefficient stacks; the planes below check each case of the
+    quadratic through product_states_in_2d: sum of squares (Bell span), product of axes
+    (diagonal span), perfect square (single product), c2 = c1 = 0 and identically zero."""
 
-
-class TestQuadraticRoots:
-    def test_sum_of_squares(self):
-        roots = quadratic_roots(1, 0, 1)
-        assert len(roots) == 2
-        ratios = sorted(root_ratios(roots), key=lambda z: z.imag)
-        np.testing.assert_allclose(ratios[0], -1j, atol=1e-12)
-        np.testing.assert_allclose(ratios[1], 1j, atol=1e-12)
-
-    def test_product_of_axes(self):
-        roots = quadratic_roots(0, 1, 0)
-        assert len(roots) == 2
-        ratios = root_ratios(roots)
-        assert None in ratios  # b = 0 root
-        assert any(r == 0 for r in ratios if r is not None)  # a = 0 root
-
-    def test_perfect_square(self):
-        roots = quadratic_roots(1, -2, 1)
-        assert len(roots) == 1 and roots[0][1] == 2
-        (a, b), _ = roots[0]
-        np.testing.assert_allclose(a / b, 1.0, atol=1e-6)
-
-    def test_identically_zero(self):
-        assert quadratic_roots(0, 0, 0) == []  # identically zero
-
-    def test_degenerate_leading_coefficient(self):
-        # c2 = 0 with double root at b = 0
-        roots = quadratic_roots(0, 0, 3.7)
-        assert roots == [((1.0 + 0j, 0j), 2)]
-
-    def test_roots_satisfy_quadratic(self):
+    @staticmethod
+    def _coefficients():
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            c2, c1, c0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-            roots = quadratic_roots(c2, c1, c0)
-            for (a, b), _ in roots:
-                val = c2 * a * a + c1 * a * b + c0 * b * b
-                assert abs(val) < 1e-9
+        c2, c1, c0 = rng.normal(size=(3, 240)) + 1j * rng.normal(size=(3, 240))
+        c2[:40] = 0  # the root b = 0
+        c1[40:80], c2[40:60], c0[60:80] = 0, 0, 0  # c1 = 0 and c2 c0 = 0: a double root
+        return c2, c1, c0
+
+    def test_roots_satisfy_the_quadratic_larger_first(self):
+        c2, c1, c0 = self._coefficients()
+        q, disc = _pencil_root(c2, c1, c0)
+        scale = np.maximum.reduce([abs(c2), abs(c1), abs(c0)])
+        for a, b in ((q, c2), (c0, q)):
+            m = np.maximum(abs(a), abs(b))
+            null = m == 0  # one representative of a double root when q = 0
+            assert (disc[null] == 0).all()
+            a, b = a[~null] / m[~null], b[~null] / m[~null]
+            val = c2[~null] * a * a + c1[~null] * a * b + c0[~null] * b * b
+            assert (abs(val) < 1e-12 * scale[~null]).all()
+        # (q, c2) has the larger |a/b|: |q / c2| >= |c0 / q|
+        assert (abs(q) ** 2 >= abs(c2 * c0) * (1 - 1e-12)).all()
+        assert (q[:40] != 0).all() and (q[40:80] == 0).all()
+
+    def test_each_row_is_its_stack_of_one(self):
+        c2, c1, c0 = self._coefficients()
+        q, disc = _pencil_root(c2, c1, c0)
+        for k in range(len(q)):
+            qk, dk = _pencil_root(c2[k:k + 1], c1[k:k + 1], c0[k:k + 1])
+            assert qk.tobytes() == q[k:k + 1].tobytes() and dk.tobytes() == disc[k:k + 1].tobytes()
+
+    def test_python_complex_scalars_keep_the_law(self):
+        # product_states_in_2d's call: numpy's complex product may fuse a multiply-add
+        # that Python's does not, so the bits may differ from a stack row; the law holds
+        for c2, c1, c0 in zip(*(x.tolist() for x in self._coefficients())):
+            q, disc = _pencil_root(c2, c1, c0)
+            scale = max(abs(c2), abs(c1), abs(c0))
+            for a, b in ((q, c2), (c0, q)):
+                m = max(abs(a), abs(b))
+                if m == 0:
+                    assert disc == 0
+                    continue
+                a, b = a / m, b / m
+                assert abs(c2 * a * a + c1 * a * b + c0 * b * b) < 1e-12 * scale
+            assert abs(q) ** 2 >= abs(c2 * c0) * (1 - 1e-12)
 
 
 class TestOrthocomplement:
@@ -167,6 +172,32 @@ class TestProductStatesIn2d:
         found = {tuple(np.round(np.abs(s.amps), 6)) for s in enum.states}
         assert found == {(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)}
 
+    def test_c2_and_c1_zero(self):
+        # det = c0 b^2: a double root at b = 0, the first basis state
+        sub = Subspace((make_state([1, 0, 0, 0]), make_state([0, 1, 1, 0])))
+        enum = product_states_in_2d(sub)
+        assert enum.kind is EnumerationKind.FINITE and enum.multiplicities == (2,)
+        assert states_equal_up_to_phase(enum.states[0], make_state([1, 0, 0, 0]), tol=1e-15)
+
+    @pytest.mark.parametrize("lam1", [0.1, 0.3, 0.45])
+    def test_merged_double_root_is_a_root(self, lam1):
+        # span{sqrt(lam1)|01> + sqrt(1 - lam1)|10>, sin e|00> + cos e|11>}: c1 = 0, so
+        # disc = -4 c2 c0 = 4 sqrt(lam1 lam2) sin e cos e, below EPS_DISC c2^2 for small e;
+        # the merged representative used to be v itself, of concurrence 2 sin e cos e
+        c2 = -np.sqrt(lam1 * (1 - lam1))
+        u = make_state([0, np.sqrt(lam1), np.sqrt(1 - lam1), 0])
+        merged = 0
+        for e in np.logspace(-12, -3, 61):
+            sub = Subspace((u, make_state([np.sin(e), 0, 0, np.cos(e)])))
+            enum = product_states_in_2d(sub)
+            double = 4 * abs(c2) * np.sin(e) * np.cos(e) < EPS_DISC * c2 * c2
+            assert enum.multiplicities == ((2,) if double else (1, 1)), e
+            merged += double
+            for s in enum.states:
+                assert is_product(s)[0] and concurrence(s) < 1e-15, e
+                assert sub.projection_norm(s) > 1 - 1e-12
+        assert merged >= 20
+
     def test_wrong_dimension(self):
         sub = Subspace((make_state([1, 0, 0, 0]),))
         with pytest.raises(BadDimension):
@@ -240,23 +271,26 @@ class TestClosedFormKernels:
 
     def test_determinant_coefficients_match_numpy(self, bell, monkeypatch):
         seen = []
-        original = qlocc.products.quadratic_roots
+        original = qlocc.products._pencil_root
 
         def recording(c2, c1, c0):
             seen.append((c2, c1, c0))
             return original(c2, c1, c0)
 
-        monkeypatch.setattr(qlocc.products, "quadratic_roots", recording)
+        monkeypatch.setattr(qlocc.products, "_pencil_root", recording)
         planes = [Subspace(random_orthogonal_set(92_000 + k, size=2).states) for k in range(300)]
         planes += [Subspace((bell["phi+"], bell["psi-"])), Subspace((bell["phi+"], bell["phi-"]))]
         for ens in _kernel_triples(bell):
             planes.append(Subspace((ens[0], orthocomplement(ens).basis[0])))
         for sub in planes:
-            product_states_in_2d(sub)
-            c2, c1, c0 = seen.pop()
+            all_product = product_states_in_2d(sub).kind is EnumerationKind.ALL_PRODUCT
             mu, mv = (s.matrix for s in sub.basis)
             du, dv = np.linalg.det(mu), np.linalg.det(mv)
             cross = np.linalg.det(mu + mv) - du - dv
+            if all_product:  # decided before any root is taken
+                assert not seen and 2 * max(abs(du), abs(dv), abs(cross)) < EPS_ZERO
+                continue
+            c2, c1, c0 = seen.pop()
             assert abs(c2 - du) < 1e-15 and abs(c0 - dv) < 1e-15
             assert abs(c1 - cross) < 1e-14
 

@@ -1,9 +1,11 @@
 """Every module-level name in src/qlocc is reached: some other statement of the package
 references it, or qlocc/__init__.py exports it.  A name that only tests call belongs in the
-tests (conftest.py holds such references)."""
+tests (conftest.py holds such references).  And the oracle imports no engine algebra."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlocc"
 
@@ -73,3 +75,45 @@ def test_the_guard_sees_a_stray_name(tmp_path, monkeypatch):
         fh.write("\n\ndef _orphan():\n    return _orphan\n")
     monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
     assert ("states._orphan", False) in _unreached()
+
+
+# The oracle cross-checks the analytic engine, so it reads only the package's data types and
+# errors: importing the engine's algebra (products._pencil_root, states._dets, ...) would let
+# one fault pass both.
+ORACLE_IMPORTS = {"OrthogonalSet", "Subspace", "PureState", "make_state"}
+
+
+def _package_imports(path):
+    """The names a module imports from the package, relatively or as qlocc."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qlocc"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "qlocc")
+    return names
+
+
+def _oracle_strays(path):
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+    allowed = ORACLE_IMPORTS | {s.name for s in errors if isinstance(s, ast.ClassDef)}
+    return _package_imports(path) - allowed
+
+
+def test_the_oracle_imports_no_engine_algebra():
+    assert _oracle_strays(PACKAGE / "bruteforce.py") == set()
+
+
+@pytest.mark.parametrize("line", [
+    "from .products import _pencil_root, _complements",
+    "from .states import _dets",
+    "from .discrimination import _decide",
+    "from . import products",
+    "import qlocc.products",
+])
+def test_the_oracle_guard_sees_an_engine_import(tmp_path, line):
+    path = tmp_path / "bruteforce.py"
+    source = (PACKAGE / "bruteforce.py").read_text(encoding="utf-8")
+    path.write_text(f"{source}\n{line}\n", encoding="utf-8")
+    assert _oracle_strays(path)
